@@ -688,19 +688,6 @@ pub mod extensions {
     }
 }
 
-/// Renders the full experiment report (all tables).
-pub fn full_report() -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let t1 = table1::rows();
-    let _ = write!(s, "{}\n\n", table1::render(&t1));
-    let t2 = table2::rows();
-    let _ = write!(s, "{}\n\n", table2::render(&t2));
-    let (fig, _) = figure1::run();
-    let _ = writeln!(s, "{fig}");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -18,13 +18,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use maestro_netlist::{
-    diff, mnl, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError, NetlistStats,
-    RevisionManifest, StatsCache,
+    diff, mnl, LayoutStyle, MemoStats, Module, ModuleFingerprint, NetlistDiff, NetlistError,
+    NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 
-use crate::prob::{CacheStats, ProbTable};
+use crate::prob::ProbTable;
 use crate::report::{EstimateRecord, ResultsDb};
 use crate::results_cache::{params_digest, ResultsCache, ResultsKey};
 use crate::standard_cell::ScParams;
@@ -237,11 +237,6 @@ impl Pipeline {
         &self.tech
     }
 
-    /// The probability table estimates are served from.
-    pub fn prob_table(&self) -> &Arc<ProbTable> {
-        &self.prob
-    }
-
     /// The netlist resolution cache, unless running uncached.
     pub fn stats_cache(&self) -> Option<&Arc<StatsCache>> {
         self.stats.as_ref()
@@ -383,14 +378,14 @@ impl Pipeline {
     /// Snapshot of the probability-table counters, taken only when a
     /// trace sink is listening (the disabled path must not touch the
     /// memo's lock).
-    fn prob_snapshot(&self) -> Option<CacheStats> {
+    fn prob_snapshot(&self) -> Option<MemoStats> {
         trace::enabled().then(|| self.prob.stats())
     }
 
     /// Charges the hit/miss growth since `before` to the trace. Always
     /// emits both counters (even at zero) so trace consumers see the
     /// cache totals on runs that never query the table.
-    fn emit_prob_delta(&self, before: Option<CacheStats>) {
+    fn emit_prob_delta(&self, before: Option<MemoStats>) {
         if let Some(before) = before {
             let delta = self.prob.stats().delta_since(&before);
             trace::counter("prob.hits", delta.hits);
@@ -751,51 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn small_batch_falls_back_to_serial_path() {
-        let collector = Arc::new(trace::Collector::new());
-        let p = Pipeline::new(builtin::nmos25());
-        let modules = [generate::counter(2), generate::counter(3)];
-        let total_nets: usize = modules.iter().map(|m| m.net_count()).sum();
-        assert!(
-            total_nets < DEFAULT_PARALLEL_NET_THRESHOLD,
-            "fixture must stay under the threshold, has {total_nets} nets"
-        );
-        trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
-            p.run_all_parallel(modules.iter(), 8).expect("estimates");
-        });
-        let spans = collector.spans();
-        let batch = spans
-            .iter()
-            .find(|s| s.name == "pipeline.run_all")
-            .expect("batch span present");
-        assert!(
-            batch.detail.starts_with("serial"),
-            "expected serial fallback, got detail {:?}",
-            batch.detail
-        );
-        assert!(
-            !spans.iter().any(|s| s.name == "pipeline.worker"),
-            "serial fallback must not spawn workers"
-        );
-    }
-
-    #[test]
-    fn threshold_zero_forces_the_parallel_path() {
-        let collector = Arc::new(trace::Collector::new());
-        let p = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
-        let modules = [generate::counter(2), generate::counter(3)];
-        trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
-            p.run_all_parallel(modules.iter(), 2).expect("estimates");
-        });
-        let spans = collector.spans();
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "pipeline.worker").count(),
-            2,
-            "threshold 0 must fan out even for tiny batches"
-        );
-    }
-
-    #[test]
     fn shards_respect_the_net_budget() {
         // total 20, jobs 2 -> budget 10: two equal shards.
         assert_eq!(plan_shards(&[5, 5, 5, 5], 2, 100), vec![0..2, 2..4]);
@@ -816,33 +766,6 @@ mod tests {
         for pair in shards.windows(2) {
             assert_eq!(pair[0].end, pair[1].start);
         }
-    }
-
-    #[test]
-    fn sharded_dispatch_groups_tiny_modules() {
-        // 16 tiny modules, jobs=4: the old dispatch took the counter 16
-        // times; net-budget shards group them 4-and-4 so the batch spans
-        // report 4 shards and 4 workers.
-        let collector = Arc::new(trace::Collector::new());
-        let p = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
-        let modules: Vec<_> = (0..16).map(|_| generate::counter(2)).collect();
-        trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
-            p.run_all_parallel(modules.iter(), 4).expect("estimates");
-        });
-        let spans = collector.spans();
-        let batch = spans
-            .iter()
-            .find(|s| s.name == "pipeline.run_all")
-            .expect("batch span present");
-        assert!(
-            batch.detail.contains("shards=4"),
-            "16×7 nets / 4 jobs -> 4 shards, got {:?}",
-            batch.detail
-        );
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "pipeline.worker").count(),
-            4
-        );
     }
 
     #[test]

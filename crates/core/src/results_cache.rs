@@ -1,4 +1,5 @@
-//! Result memoization above the resolve-once [`StatsCache`] layer.
+//! Result memoization above the resolve-once
+//! [`StatsCache`](maestro_netlist::StatsCache) layer.
 //!
 //! The [`StatsCache`](maestro_netlist::StatsCache) memoizes the *setup*
 //! cost (module scan + technology queries); this cache memoizes the full
@@ -9,18 +10,14 @@
 //! 96-module chip with one edited module then pays estimation cost for
 //! exactly one module; the other 95 come straight out of this memo.
 //!
-//! Like the stats layer, the memo is bounded: a streaming million-module
-//! run evicts least-recently-used entries in batches instead of growing
-//! without limit. Every lookup emits `estimate.results.hits` /
-//! `estimate.results.misses` (and evictions emit
-//! `estimate.results.evictions`) trace counters.
+//! Like the stats layer, the memo is a bounded [`Memo`]: a streaming
+//! million-module run evicts least-recently-used entries in batches
+//! instead of growing without limit, and it reports as
+//! `estimate.results.{hits,misses,evictions}`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use maestro_netlist::ModuleFingerprint;
-use maestro_trace as trace;
+use maestro_netlist::{Memo, MemoStats, ModuleFingerprint};
 
 use crate::report::EstimateRecord;
 use crate::standard_cell::ScParams;
@@ -28,8 +25,8 @@ use crate::standard_cell::ScParams;
 /// Cache key: module content × technology revision × parameter digest.
 pub type ResultsKey = (ModuleFingerprint, u64, u64);
 
-/// Default entry cap for [`ResultsCache`].
-pub const DEFAULT_RESULTS_CAPACITY: usize = 8192;
+/// Entry cap of a [`ResultsCache`].
+const RESULTS_CAPACITY: usize = 8192;
 
 /// FNV-1a digest of every estimation parameter that can change a
 /// module's [`EstimateRecord`] under a fixed technology. Two pipelines
@@ -54,40 +51,6 @@ pub fn params_digest(params: &ScParams) -> u64 {
     }
     word(u64::from(params.max_rows));
     h
-}
-
-/// Counter snapshot of a [`ResultsCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResultsCacheStats {
-    /// Lookups served from the memo.
-    pub hits: u64,
-    /// Lookups that missed (the caller then runs the full estimate).
-    pub misses: u64,
-    /// Entries dropped by the capacity bound since construction.
-    pub evictions: u64,
-    /// Records currently cached.
-    pub entries: usize,
-}
-
-impl ResultsCacheStats {
-    /// Counter growth since an `earlier` snapshot of the same cache.
-    /// `entries` carries the current level. Saturates if the snapshots
-    /// are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &ResultsCacheStats) -> ResultsCacheStats {
-        ResultsCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            entries: self.entries,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct CachedRecord {
-    record: Arc<EstimateRecord>,
-    last_used: AtomicU64,
 }
 
 /// Bounded concurrent memo of per-module estimation results.
@@ -115,110 +78,34 @@ struct CachedRecord {
 /// assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 /// ```
 #[derive(Debug)]
-pub struct ResultsCache {
-    memo: RwLock<HashMap<ResultsKey, CachedRecord>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub struct ResultsCache(Memo<ResultsKey, Arc<EstimateRecord>>);
 
 impl Default for ResultsCache {
     fn default() -> Self {
-        ResultsCache::with_capacity(DEFAULT_RESULTS_CAPACITY)
+        ResultsCache::new()
     }
 }
 
 impl ResultsCache {
-    /// An empty cache with the default cap ([`DEFAULT_RESULTS_CAPACITY`]).
+    /// An empty cache reporting as `estimate.results`.
     pub fn new() -> Self {
-        ResultsCache::default()
+        ResultsCache(Memo::new("estimate.results", RESULTS_CAPACITY))
     }
 
-    /// An empty cache holding at most `capacity` records (clamped to at
-    /// least 1). When an insertion would exceed the cap, the
-    /// least-recently-used records are dropped in a batch (an eighth of
-    /// the capacity, at least one).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ResultsCache {
-            memo: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up a memoized record, counting a hit or a miss (emitted as
-    /// `estimate.results.hits` / `estimate.results.misses` trace
-    /// counters).
+    /// Looks up a memoized record, counting a hit or a miss.
     pub fn get(&self, key: &ResultsKey) -> Option<Arc<EstimateRecord>> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let found = {
-            let read = self.memo.read().expect("results memo poisoned");
-            read.get(key).map(|entry| {
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.record)
-            })
-        };
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace::counter("estimate.results.hits", 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            trace::counter("estimate.results.misses", 1);
-        }
-        found
+        self.0.get(key)
     }
 
-    /// Memoizes a record, evicting least-recently-used entries first if
-    /// the cache is at capacity. Re-inserting an existing key replaces
-    /// its record.
+    /// Memoizes a record. Re-inserting an existing key replaces its
+    /// record.
     pub fn insert(&self, key: ResultsKey, record: EstimateRecord) {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut write = self.memo.write().expect("results memo poisoned");
-        if !write.contains_key(&key) && write.len() >= self.capacity {
-            let batch = (self.capacity / 8).max(1);
-            let mut victims: Vec<(ResultsKey, u64)> = write
-                .iter()
-                .map(|(k, entry)| (*k, entry.last_used.load(Ordering::Relaxed)))
-                .collect();
-            victims.sort_unstable_by_key(|&(_, used)| used);
-            let mut evicted = 0u64;
-            for (victim, _) in victims.into_iter().take(batch) {
-                write.remove(&victim);
-                evicted += 1;
-            }
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                trace::counter("estimate.results.evictions", evicted);
-            }
-        }
-        write.insert(
-            key,
-            CachedRecord {
-                record: Arc::new(record),
-                last_used: AtomicU64::new(now),
-            },
-        );
+        self.0.insert(key, Arc::new(record));
     }
 
-    /// Counter snapshot (monotonic counters are read `Relaxed`; exact
-    /// only in quiescence).
-    pub fn stats(&self) -> ResultsCacheStats {
-        ResultsCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.memo.read().expect("results memo poisoned").len(),
-        }
+    /// Hit/miss/eviction/entry counters.
+    pub fn stats(&self) -> MemoStats {
+        self.0.stats()
     }
 }
 
@@ -252,28 +139,13 @@ mod tests {
         assert!(Arc::ptr_eq(&one, &two));
         assert_eq!(
             cache.stats(),
-            ResultsCacheStats {
+            MemoStats {
                 hits: 2,
                 misses: 1,
                 evictions: 0,
                 entries: 1
             }
         );
-    }
-
-    #[test]
-    fn capacity_bound_evicts_the_least_recently_used() {
-        let cache = ResultsCache::with_capacity(2);
-        cache.insert(key_of(1), record("a"));
-        cache.insert(key_of(2), record("b"));
-        // Touch 1 so 2 is the LRU victim.
-        assert!(cache.get(&key_of(1)).is_some());
-        cache.insert(key_of(3), record("c"));
-        let stats = cache.stats();
-        assert_eq!((stats.evictions, stats.entries), (1, 2));
-        assert!(cache.get(&key_of(1)).is_some());
-        assert!(cache.get(&key_of(2)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key_of(3)).is_some());
     }
 
     #[test]
@@ -303,31 +175,5 @@ mod tests {
             }
         }
         assert_eq!(params_digest(&base), params_digest(&ScParams::default()));
-    }
-
-    #[test]
-    fn delta_since_subtracts_and_saturates() {
-        let a = ResultsCacheStats {
-            hits: 5,
-            misses: 2,
-            evictions: 0,
-            entries: 2,
-        };
-        let b = ResultsCacheStats {
-            hits: 9,
-            misses: 3,
-            evictions: 1,
-            entries: 4,
-        };
-        assert_eq!(
-            b.delta_since(&a),
-            ResultsCacheStats {
-                hits: 4,
-                misses: 1,
-                evictions: 1,
-                entries: 4
-            }
-        );
-        assert_eq!(a.delta_since(&b).hits, 0);
     }
 }

@@ -12,87 +12,43 @@
 //! seed against the new tile set, so a stale seed degrades to a cold
 //! start, never to a wrong layout.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use maestro_netlist::{Memo, MemoStats};
 
 use crate::synthesize::SynthSeed;
 
-/// Default entry cap for [`WarmStore`].
-pub const DEFAULT_WARM_CAPACITY: usize = 1024;
+/// Entry cap of a [`WarmStore`].
+const WARM_CAPACITY: usize = 1024;
 
 /// Bounded map of the most recent winning seed per (module name,
-/// technology revision).
+/// technology revision), reporting as `fullcustom.warm`.
 #[derive(Debug)]
-pub struct WarmStore {
-    seeds: Mutex<HashMap<(String, u64), (SynthSeed, u64)>>,
-    capacity: usize,
-    tick: std::sync::atomic::AtomicU64,
-}
+pub struct WarmStore(Memo<(String, u64), SynthSeed>);
 
 impl Default for WarmStore {
     fn default() -> Self {
-        WarmStore::with_capacity(DEFAULT_WARM_CAPACITY)
+        WarmStore::new()
     }
 }
 
 impl WarmStore {
-    /// An empty store with the default cap ([`DEFAULT_WARM_CAPACITY`]).
+    /// An empty store.
     pub fn new() -> Self {
-        WarmStore::default()
-    }
-
-    /// An empty store holding at most `capacity` seeds (clamped to at
-    /// least 1); the least-recently-touched seed is dropped when a new
-    /// insertion would exceed the cap.
-    pub fn with_capacity(capacity: usize) -> Self {
-        WarmStore {
-            seeds: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        WarmStore(Memo::new("fullcustom.warm", WARM_CAPACITY))
     }
 
     /// The stored seed for a module under a technology revision, if any.
     pub fn get(&self, module_name: &str, tech_revision: u64) -> Option<SynthSeed> {
-        let now = self.next_tick();
-        let mut seeds = self.seeds.lock().expect("warm store poisoned");
-        seeds
-            .get_mut(&(module_name.to_owned(), tech_revision))
-            .map(|(seed, used)| {
-                *used = now;
-                seed.clone()
-            })
+        self.0.get(&(module_name.to_owned(), tech_revision))
     }
 
     /// Stores (or replaces) a module's winning seed.
     pub fn put(&self, module_name: &str, tech_revision: u64, seed: SynthSeed) {
-        let now = self.next_tick();
-        let key = (module_name.to_owned(), tech_revision);
-        let mut seeds = self.seeds.lock().expect("warm store poisoned");
-        if !seeds.contains_key(&key) && seeds.len() >= self.capacity {
-            if let Some(victim) = seeds
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                seeds.remove(&victim);
-            }
-        }
-        seeds.insert(key, (seed, now));
+        self.0.insert((module_name.to_owned(), tech_revision), seed);
     }
 
-    /// Number of seeds currently stored.
-    pub fn len(&self) -> usize {
-        self.seeds.lock().expect("warm store poisoned").len()
-    }
-
-    /// True when no seeds are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Hit/miss/eviction/entry counters.
+    pub fn stats(&self) -> MemoStats {
+        self.0.stats()
     }
 }
 
@@ -118,19 +74,5 @@ mod tests {
         assert_eq!(store.get("chain", 7), Some(seed));
         assert_eq!(store.get("chain", 8), None);
         assert_eq!(store.get("other", 7), None);
-    }
-
-    #[test]
-    fn capacity_evicts_the_least_recently_touched() {
-        let store = WarmStore::with_capacity(2);
-        store.put("a", 0, seed_for(2));
-        store.put("b", 0, seed_for(3));
-        // Touch "a" so "b" is the victim.
-        assert!(store.get("a", 0).is_some());
-        store.put("c", 0, seed_for(4));
-        assert_eq!(store.len(), 2);
-        assert!(store.get("a", 0).is_some());
-        assert!(store.get("b", 0).is_none());
-        assert!(store.get("c", 0).is_some());
     }
 }

@@ -45,7 +45,7 @@ use maestro_estimator::request::{Request, RequestCall, Response};
 use maestro_estimator::results_cache::ResultsCache;
 use maestro_estimator::standard_cell::ScParams;
 use maestro_fullcustom::WarmStore;
-use maestro_netlist::{mnl, Module, RevisionManifest, StatsCache};
+use maestro_netlist::{mnl, Memo, MemoStats, Module, RevisionManifest, StatsCache};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 
@@ -66,10 +66,10 @@ use crate::ops;
 ///
 /// Request sources are parsed through a per-module memo: canonical
 /// multi-module `.mnl` text is split into `module … endmodule` chunks
-/// and each chunk's parse is cached by content hash, so re-submitting a
-/// chip with one edited module re-parses one module, not the whole file.
-/// Any non-canonical or erroneous source falls back to the whole-file
-/// parser for byte-identical diagnostics.
+/// and each chunk's parse (or its failure) is cached by content hash, so
+/// re-submitting a chip with one edited module re-parses one module, not
+/// the whole file. Any non-canonical or erroneous source falls back to
+/// the whole-file parser for byte-identical diagnostics.
 pub struct Session {
     techs: Mutex<HashMap<String, Arc<ProcessDb>>>,
     stats: Arc<StatsCache>,
@@ -78,10 +78,7 @@ pub struct Session {
     warm: WarmStore,
     prev: Mutex<Option<RevisionManifest>>,
     tech_reuse: AtomicU64,
-    parsed: Mutex<HashMap<u128, (Arc<Module>, u64)>>,
-    parse_tick: AtomicU64,
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
+    parsed: Memo<u128, Option<Arc<Module>>>,
 }
 
 /// Parsed-module memo bound: ~10× the largest chip batch the bench
@@ -136,10 +133,7 @@ impl Session {
             warm: WarmStore::new(),
             prev: Mutex::new(None),
             tech_reuse: AtomicU64::new(0),
-            parsed: Mutex::new(HashMap::new()),
-            parse_tick: AtomicU64::new(0),
-            parse_hits: AtomicU64::new(0),
-            parse_misses: AtomicU64::new(0),
+            parsed: Memo::new("serve.parse", PARSE_CACHE_CAPACITY),
         }
     }
 
@@ -180,59 +174,18 @@ impl Session {
     /// errors) stay byte-identical to the uncached path.
     fn try_parse_cached(&self, source: &str) -> Option<Vec<Arc<Module>>> {
         let _span = trace::span("serve.parse");
-        let chunks = mnl::split_design(source)?;
-        let hashes: Vec<u128> = chunks.iter().map(|c| hash128(c.as_bytes())).collect();
-        let mut modules: Vec<Option<Arc<Module>>> = vec![None; chunks.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let mut parsed = self.parsed.lock().expect("serve parse memo lock poisoned");
-            for (i, hash) in hashes.iter().enumerate() {
-                if let Some((module, tick)) = parsed.get_mut(hash) {
-                    *tick = self.parse_tick.fetch_add(1, Ordering::Relaxed);
-                    modules[i] = Some(Arc::clone(module));
-                } else {
-                    missing.push(i);
-                }
-            }
-        }
-        let hits = (chunks.len() - missing.len()) as u64;
-        if hits > 0 {
-            self.parse_hits.fetch_add(hits, Ordering::Relaxed);
-            trace::counter("serve.parse.hits", hits);
-        }
-        // Parse the misses outside the lock: the memo stays available to
-        // concurrent requests while this one chews its fresh chunks.
-        let mut fresh: Vec<(u128, Arc<Module>)> = Vec::with_capacity(missing.len());
-        for i in missing {
-            let module = Arc::new(mnl::parse(chunks[i]).ok()?);
-            fresh.push((hashes[i], Arc::clone(&module)));
-            modules[i] = Some(module);
-        }
-        let modules: Vec<Arc<Module>> = modules
+        let modules = mnl::split_design(source)?
             .into_iter()
-            .map(|m| m.expect("all slots filled"))
-            .collect();
+            .map(|chunk| {
+                self.parsed
+                    .get_or_insert_with(hash128(chunk.as_bytes()), || {
+                        mnl::parse(chunk).ok().map(Arc::new)
+                    })
+            })
+            .collect::<Option<Vec<_>>>()?;
         for (i, module) in modules.iter().enumerate() {
             if modules[..i].iter().any(|m| m.name() == module.name()) {
                 return None; // duplicate name: parse_design owns the error
-            }
-        }
-        if !fresh.is_empty() {
-            self.parse_misses
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            trace::counter("serve.parse.misses", fresh.len() as u64);
-            let mut parsed = self.parsed.lock().expect("serve parse memo lock poisoned");
-            for (hash, module) in fresh {
-                let tick = self.parse_tick.fetch_add(1, Ordering::Relaxed);
-                parsed.insert(hash, (module, tick));
-            }
-            while parsed.len() > PARSE_CACHE_CAPACITY {
-                let victim = parsed
-                    .iter()
-                    .min_by_key(|(_, (_, tick))| *tick)
-                    .map(|(hash, _)| *hash)
-                    .expect("non-empty over capacity");
-                parsed.remove(&victim);
             }
         }
         Some(modules)
@@ -372,36 +325,22 @@ impl Session {
             .with_stats_cache(Arc::clone(&self.stats))
     }
 
-    /// The `cache-stats` payload: one fixed-order JSON object over the
-    /// session's resolve memo, result memo, parse memo, warm-seed store
-    /// and tech reuse counter.
+    /// The `cache-stats` payload: one fixed-order JSON object with the
+    /// counters of the session's resolve memo, result memo, parse memo
+    /// and warm-seed store, plus the tech reuse counter.
     fn cache_stats_payload(&self) -> String {
-        let resolve = self.stats.stats();
-        let results = self.results.stats();
-        let parse_entries = self
-            .parsed
-            .lock()
-            .expect("serve parse memo lock poisoned")
-            .len();
+        let memo = |s: MemoStats| {
+            format!(
+                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}",
+                s.hits, s.misses, s.evictions, s.entries
+            )
+        };
         format!(
-            concat!(
-                "{{\"resolve\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
-                "\"results\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
-                "\"parse\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},",
-                "\"warm_seeds\":{},\"tech_reuse\":{}}}\n"
-            ),
-            resolve.hits,
-            resolve.misses,
-            resolve.evictions,
-            resolve.entries,
-            results.hits,
-            results.misses,
-            results.evictions,
-            results.entries,
-            self.parse_hits.load(Ordering::Relaxed),
-            self.parse_misses.load(Ordering::Relaxed),
-            parse_entries,
-            self.warm.len(),
+            "{{\"resolve\":{},\"results\":{},\"parse\":{},\"warm\":{},\"tech_reuse\":{}}}\n",
+            memo(self.stats.stats()),
+            memo(self.results.stats()),
+            memo(self.parsed.stats()),
+            memo(self.warm.stats()),
             self.tech_reuse.load(Ordering::Relaxed),
         )
     }

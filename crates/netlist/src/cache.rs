@@ -8,30 +8,21 @@
 //! times, so resolution must be paid once per triple, not once per
 //! consumer.
 //!
-//! [`StatsCache`] is that memo: a concurrent map keyed by
+//! [`StatsCache`] is that memo: a [`Memo`] keyed by
 //! ([`ModuleFingerprint`], [`maestro_tech::TechRevision`],
 //! [`LayoutStyle`]) returning `Arc<NetlistStats>`. Failed resolutions are
 //! cached too (a transistor-level module probed under the standard-cell
 //! style fails identically every time), so even the error path costs one
-//! scan per key.
-//!
-//! Concurrency contract (stronger than `ProbTable`'s): each key is
-//! computed **exactly once** even under races — late arrivals block on the
-//! winner's [`OnceLock`] slot instead of duplicating the scan — and
-//! distinct keys never serialize against each other's computation.
-//!
-//! Every lookup emits a `netlist.resolve.hits` / `netlist.resolve.misses`
-//! trace counter increment (no-ops when tracing is disabled), so traced
-//! runs surface cache effectiveness in `perf-report`.
+//! scan per key. Each key is scanned **exactly once** even under races,
+//! and every lookup emits a `netlist.resolve.hits` /
+//! `netlist.resolve.misses` trace counter increment.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use maestro_tech::ProcessDb;
-use maestro_trace as trace;
 
+use crate::memo::{Memo, MemoStats};
 use crate::{LayoutStyle, Module, NetlistError, NetlistStats};
 
 /// A 128-bit content fingerprint of a [`Module`].
@@ -124,54 +115,13 @@ impl fmt::Display for ModuleFingerprint {
     }
 }
 
-/// Cache statistics of a [`StatsCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the memo.
-    pub hits: u64,
-    /// Lookups that ran `NetlistStats::resolve` (successfully or not).
-    pub misses: u64,
-    /// Entries dropped by the capacity bound since construction.
-    pub evictions: u64,
-    /// Distinct keys currently cached (including cached failures).
-    pub entries: usize,
-}
+/// Resolve-once memo value: failures are memoized too.
+type Resolved = Result<Arc<NetlistStats>, NetlistError>;
 
-impl CacheStats {
-    /// Hit/miss/eviction growth since an `earlier` snapshot of the same
-    /// cache. `entries` carries the current level (it is not a monotonic
-    /// counter). Saturates if the snapshots are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            entries: self.entries,
-        }
-    }
-}
-
-/// One memo slot. The `OnceLock` guarantees the resolve runs exactly once
-/// per key: the losing thread of an insertion race blocks in
-/// `get_or_init` until the winner's computation lands, instead of
-/// duplicating it.
-type Slot = Arc<OnceLock<Result<Arc<NetlistStats>, NetlistError>>>;
-
-type Key = (ModuleFingerprint, u64, LayoutStyle);
-
-/// Default entry cap: generous for chip-scale batches (a `mixed:1m`
-/// stream resolves ~11k distinct triples) while still bounding a
-/// pathological stream of never-repeating modules.
-pub const DEFAULT_STATS_CAPACITY: usize = 4096;
-
-/// A memo slot plus the logical clock of its most recent use, for
-/// least-recently-used victim selection.
-#[derive(Debug, Default)]
-struct SlotEntry {
-    slot: Slot,
-    last_used: AtomicU64,
-}
+/// Entry cap: generous for chip-scale batches (a `mixed:1m` stream
+/// resolves ~11k distinct triples) while still bounding a pathological
+/// stream of never-repeating modules.
+const STATS_CAPACITY: usize = 4096;
 
 /// The concurrent resolve-once memo for [`NetlistStats`].
 ///
@@ -192,47 +142,18 @@ struct SlotEntry {
 /// assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 /// ```
 #[derive(Debug)]
-pub struct StatsCache {
-    memo: RwLock<HashMap<Key, SlotEntry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub struct StatsCache(Memo<(ModuleFingerprint, u64, LayoutStyle), Resolved>);
 
 impl Default for StatsCache {
     fn default() -> Self {
-        StatsCache::with_capacity(DEFAULT_STATS_CAPACITY)
+        StatsCache::new()
     }
 }
 
 impl StatsCache {
-    /// An empty cache with the default entry cap
-    /// ([`DEFAULT_STATS_CAPACITY`]).
+    /// An empty cache reporting as `netlist.resolve`.
     pub fn new() -> Self {
-        StatsCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries (clamped to at
-    /// least 1). When an insertion would exceed the cap, the
-    /// least-recently-used *completed* entries are dropped in a batch
-    /// (an eighth of the capacity, at least one) — in-flight slots that
-    /// other threads may be blocked on are never evicted.
-    pub fn with_capacity(capacity: usize) -> Self {
-        StatsCache {
-            memo: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        StatsCache(Memo::new("netlist.resolve", STATS_CAPACITY))
     }
 
     /// The process-wide shared cache: entry points that carry no explicit
@@ -260,80 +181,14 @@ impl StatsCache {
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
         let key = (ModuleFingerprint::of(module), tech.revision().id(), style);
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let read = self.memo.read().expect("stats memo poisoned");
-            read.get(&key).map(|entry| {
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.slot)
-            })
-        };
-        let slot = match slot {
-            Some(slot) => slot,
-            None => {
-                let mut write = self.memo.write().expect("stats memo poisoned");
-                if !write.contains_key(&key) && write.len() >= self.capacity {
-                    self.evict_oldest(&mut write);
-                }
-                let entry = write.entry(key).or_default();
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.slot)
-            }
-        };
-        // Outside both locks: concurrent *distinct* keys compute freely in
-        // parallel; concurrent *same-key* callers block here until the one
-        // winning closure finishes, so the scan runs exactly once per key.
-        let mut computed = false;
-        let result = slot
-            .get_or_init(|| {
-                computed = true;
-                NetlistStats::resolve(module, tech, style).map(Arc::new)
-            })
-            .clone();
-        if computed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            trace::counter("netlist.resolve.misses", 1);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace::counter("netlist.resolve.hits", 1);
-        }
-        result
+        self.0.get_or_insert_with(key, || {
+            NetlistStats::resolve(module, tech, style).map(Arc::new)
+        })
     }
 
-    /// Drops the least-recently-used completed entries to make room for
-    /// one more insertion. Runs under the write lock, so victim selection
-    /// sees a consistent map; in-flight slots (whose compute another
-    /// thread may be blocked on) are exempt. Each eviction is counted and
-    /// emitted as a `netlist.resolve.evictions` trace counter.
-    fn evict_oldest(&self, memo: &mut HashMap<Key, SlotEntry>) {
-        let batch = (self.capacity / 8).max(1);
-        let mut victims: Vec<(Key, u64)> = memo
-            .iter()
-            .filter(|(_, entry)| entry.slot.get().is_some())
-            .map(|(key, entry)| (*key, entry.last_used.load(Ordering::Relaxed)))
-            .collect();
-        victims.sort_unstable_by_key(|&(_, used)| used);
-        let mut evicted = 0u64;
-        for (key, _) in victims.into_iter().take(batch) {
-            memo.remove(&key);
-            evicted += 1;
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            trace::counter("netlist.resolve.evictions", evicted);
-        }
-    }
-
-    /// Hit/miss/eviction/entry counters (the monotonic counters are read
-    /// `Relaxed`; exact only in quiescence, indicative under
-    /// concurrency).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.memo.read().expect("stats memo poisoned").len(),
-        }
+    /// Hit/miss/eviction/entry counters.
+    pub fn stats(&self) -> MemoStats {
+        self.0.stats()
     }
 }
 
@@ -384,7 +239,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
             cache.stats(),
-            CacheStats {
+            MemoStats {
                 hits: 1,
                 misses: 1,
                 evictions: 0,
@@ -445,52 +300,5 @@ mod tests {
     #[test]
     fn shared_cache_is_one_instance() {
         assert!(Arc::ptr_eq(&StatsCache::shared(), &StatsCache::shared()));
-    }
-
-    #[test]
-    fn delta_since_subtracts_and_saturates() {
-        let a = CacheStats {
-            hits: 10,
-            misses: 4,
-            evictions: 1,
-            entries: 3,
-        };
-        let b = CacheStats {
-            hits: 12,
-            misses: 4,
-            evictions: 3,
-            entries: 5,
-        };
-        assert_eq!(
-            b.delta_since(&a),
-            CacheStats {
-                hits: 2,
-                misses: 0,
-                evictions: 2,
-                entries: 5
-            }
-        );
-        assert_eq!(a.delta_since(&b).hits, 0, "swapped snapshots saturate");
-    }
-
-    #[test]
-    fn capacity_bound_evicts_the_least_recently_used_entry() {
-        let cache = StatsCache::with_capacity(2);
-        let tech = builtin::nmos25();
-        let m1 = library_circuits::nmos_full_adder();
-        let m2 = library_circuits::pass_chain(3);
-        let m3 = library_circuits::nmos_mux4();
-        cache.resolve(&m1, &tech, LayoutStyle::FullCustom).unwrap();
-        cache.resolve(&m2, &tech, LayoutStyle::FullCustom).unwrap();
-        // Touch m1 so m2 is the LRU victim when m3 forces an eviction.
-        cache.resolve(&m1, &tech, LayoutStyle::FullCustom).unwrap();
-        cache.resolve(&m3, &tech, LayoutStyle::FullCustom).unwrap();
-        let stats = cache.stats();
-        assert_eq!((stats.evictions, stats.entries), (1, 2));
-        // m1 survived (hit); m2 was dropped (fresh miss re-resolves it).
-        cache.resolve(&m1, &tech, LayoutStyle::FullCustom).unwrap();
-        assert_eq!(cache.stats().hits, 2);
-        cache.resolve(&m2, &tech, LayoutStyle::FullCustom).unwrap();
-        assert_eq!(cache.stats().misses, 4);
     }
 }

@@ -155,68 +155,20 @@ pub fn anneal_replicas<S: AnnealState + Send>(
     probes: usize,
     work_size: usize,
 ) -> f64 {
-    let replicas = replicas.max(1);
-    if replicas == 1 {
-        let schedule = schedule.clone().calibrated(state, base_seed, probes);
-        let cost = anneal(state, &schedule, base_seed);
-        trace::counter("anneal.replicas", 1);
-        trace::counter("anneal.replica_best", 0);
-        return cost;
-    }
-    let set_span = trace::span_with("anneal.replica_set", || format!("replicas={replicas}"));
-    let set_id = set_span.id();
-    let run_replica = |r: usize, mut local: S| -> (f64, S) {
-        let seed = replica_seed(base_seed, r);
-        let _span = trace::span_under("anneal.replica", set_id, || format!("replica={r}"));
-        let sched = schedule.clone().calibrated(&mut local, seed, probes);
-        let cost = anneal(&mut local, &sched, seed);
-        (cost, local)
-    };
-    let mut slots: Vec<Option<(f64, S)>> = (0..replicas).map(|_| None).collect();
-    if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
-        for (r, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_replica(r, state.clone()));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (r, slot) in slots.iter_mut().enumerate() {
-                let local = state.clone();
-                let run = &run_replica;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("replica-{r}"));
-                    }
-                    *slot = Some(run(r, local));
-                });
-            }
-        });
-    }
-    let mut best_idx = 0usize;
-    let mut best = slots[0].take().expect("replica 0 result");
-    for (r, slot) in slots.iter_mut().enumerate().skip(1) {
-        let (cost, s) = slot.take().expect("replica result");
-        // Strict `<` keeps the lowest replica index on cost ties.
-        if cost < best.0 {
-            best = (cost, s);
-            best_idx = r;
-        }
-    }
-    trace::counter("anneal.replicas", replicas as u64);
-    trace::counter("anneal.replica_best", best_idx as u64);
-    *state = best.1;
-    best.0
+    anneal_replicas_warm(
+        state, None, schedule, base_seed, replicas, probes, work_size,
+    )
 }
 
 /// [`anneal_replicas`] plus one optional *warm* walk seeded from a prior
 /// solution.
 ///
-/// With `warm = None` this delegates to [`anneal_replicas`] — same walks,
-/// same counters, bit-identical result. With `warm = Some(prior)` the
-/// engine runs the `replicas` cold walks exactly as the plain call would
-/// (same starting state, same per-replica seeds) **plus** one extra walk
-/// of index `replicas` starting from `prior`. The reduction stays
-/// strict-`<` with lowest index winning ties, which yields two contracts
-/// by construction:
+/// With `warm = None` this is [`anneal_replicas`]. With
+/// `warm = Some(prior)` the engine runs the `replicas` cold walks exactly
+/// as the plain call would (same starting state, same per-replica seeds)
+/// **plus** one extra walk of index `replicas` starting from `prior`. The
+/// reduction stays strict-`<` with lowest index winning ties, which
+/// yields two contracts by construction:
 ///
 /// * **never worse than cold**: every cold walk of the unseeded run is
 ///   present unchanged, so the reduced cost can only match or beat it;
@@ -237,13 +189,22 @@ pub fn anneal_replicas_warm<S: AnnealState + Send>(
     probes: usize,
     work_size: usize,
 ) -> f64 {
-    let Some(warm) = warm else {
-        return anneal_replicas(state, schedule, base_seed, replicas, probes, work_size);
-    };
     let replicas = replicas.max(1);
-    let total = replicas + 1;
+    if replicas == 1 && warm.is_none() {
+        let schedule = schedule.clone().calibrated(state, base_seed, probes);
+        let cost = anneal(state, &schedule, base_seed);
+        trace::counter("anneal.replicas", 1);
+        trace::counter("anneal.replica_best", 0);
+        return cost;
+    }
+    let warmed = warm.is_some();
+    let total = replicas + usize::from(warmed);
     let set_span = trace::span_with("anneal.replica_set", || {
-        format!("replicas={replicas} warm=1")
+        if warmed {
+            format!("replicas={replicas} warm=1")
+        } else {
+            format!("replicas={replicas}")
+        }
     });
     let set_id = set_span.id();
     let run_replica = |r: usize, mut local: S| -> (f64, S) {
@@ -259,17 +220,16 @@ pub fn anneal_replicas_warm<S: AnnealState + Send>(
         let cost = anneal(&mut local, &sched, seed);
         (cost, local)
     };
-    let mut starts: Vec<Option<S>> = (0..replicas).map(|_| Some(state.clone())).collect();
-    starts.push(Some(warm));
+    let cold = &*state;
+    let starts = (0..replicas).map(|_| cold.clone()).chain(warm);
     let mut slots: Vec<Option<(f64, S)>> = (0..total).map(|_| None).collect();
     if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
-        for (r, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_replica(r, starts[r].take().expect("start state")));
+        for ((r, slot), local) in slots.iter_mut().enumerate().zip(starts) {
+            *slot = Some(run_replica(r, local));
         }
     } else {
         std::thread::scope(|scope| {
-            for ((r, slot), start) in slots.iter_mut().enumerate().zip(starts.iter_mut()) {
-                let local = start.take().expect("start state");
+            for ((r, slot), local) in slots.iter_mut().enumerate().zip(starts) {
                 let run = &run_replica;
                 scope.spawn(move || {
                     if trace::enabled() {
@@ -294,8 +254,10 @@ pub fn anneal_replicas_warm<S: AnnealState + Send>(
     }
     trace::counter("anneal.replicas", total as u64);
     trace::counter("anneal.replica_best", best_idx as u64);
-    trace::counter("anneal.warm_walks", 1);
-    trace::counter("anneal.warm_best", u64::from(best_idx == replicas));
+    if warmed {
+        trace::counter("anneal.warm_walks", 1);
+        trace::counter("anneal.warm_best", u64::from(best_idx == replicas));
+    }
     *state = best.1;
     best.0
 }

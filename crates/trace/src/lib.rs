@@ -259,7 +259,7 @@ pub fn span_under(name: &'static str, parent: u64, detail: impl FnOnce() -> Stri
 /// report folding sums all increments per counter name. No-op when
 /// tracing is disabled.
 #[inline]
-pub fn counter(name: &'static str, value: u64) {
+pub fn counter(name: &str, value: u64) {
     if !enabled() {
         return;
     }

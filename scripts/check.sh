@@ -4,7 +4,8 @@
 #   ./scripts/check.sh
 #
 # Runs formatting, the release build, the full test suite (goldens in
-# verify-only mode), and clippy (warnings are errors) over the workspace.
+# verify-only mode), the benchmark harness's build and tests, and clippy
+# (warnings are errors) over the workspace.
 # Golden fixtures — the reproduced paper tables and the trace-event
 # schema — are compared byte-for-byte here; regenerate intentionally
 # changed ones with
@@ -34,6 +35,13 @@ echo "==> cargo test -q (goldens verify-only)"
 # must *verify* fixtures, never silently rewrite them. Regeneration is a
 # deliberate, reviewed step (see header).
 env -u UPDATE_GOLDEN cargo test -q
+
+echo "==> benchmark harness and perfbench tests"
+# perfbench/harness is a package of its own that calls the crates' public
+# API; building and testing it here makes an API change that would break
+# the benchmark fail this gate instead of the benchmark run.
+cargo test -q --manifest-path perfbench/harness/Cargo.toml
+python3 -m unittest discover -s perfbench/tests
 
 echo "==> cargo clippy (first-party crates) -- -D warnings"
 cargo clippy --all-targets "${FIRST_PARTY[@]}" -- -D warnings

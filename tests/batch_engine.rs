@@ -15,7 +15,6 @@ use maestro::estimator::standard_cell::{
 };
 use maestro::netlist::{generate, library_circuits, mnl, StatsCache};
 use maestro::prelude::*;
-use maestro::trace;
 
 fn asset(name: &str) -> PathBuf {
     // Tests run from the package dir (crates/maestro); assets live at the
@@ -373,37 +372,6 @@ fn replica_layouts_are_deterministic_over_the_table_suites() {
             module.name()
         );
     }
-}
-
-#[test]
-fn batch_resolves_each_module_and_style_exactly_once() {
-    let modules = library_circuits::table1_suite();
-    let cache = Arc::new(StatsCache::new());
-    let pipeline = Pipeline::new(builtin::nmos25())
-        .with_stats_cache(Arc::clone(&cache))
-        .with_parallel_threshold(0);
-    // Cold batch: every (module, style) pair misses once — the SC probe
-    // of these transistor-level modules fails, and the failure is itself
-    // memoized — and nothing hits.
-    let cold = Arc::new(trace::Collector::new());
-    trace::with_sink(Arc::clone(&cold) as Arc<dyn trace::Sink>, || {
-        pipeline.run_all(modules.iter()).expect("estimates");
-    });
-    let per_batch = 2 * modules.len() as u64;
-    assert_eq!(cold.counter_total("netlist.resolve.misses"), per_batch);
-    assert_eq!(cold.counter_total("netlist.resolve.hits"), 0);
-    // Warm batch (parallel this time): all hits, not one new resolve.
-    let warm = Arc::new(trace::Collector::new());
-    trace::with_sink(Arc::clone(&warm) as Arc<dyn trace::Sink>, || {
-        pipeline
-            .run_all_parallel(modules.iter(), 4)
-            .expect("estimates");
-    });
-    assert_eq!(warm.counter_total("netlist.resolve.misses"), 0);
-    assert_eq!(warm.counter_total("netlist.resolve.hits"), per_batch);
-    let stats = cache.stats();
-    assert_eq!(stats.misses, per_batch);
-    assert_eq!(stats.entries as u64, per_batch);
 }
 
 #[test]

@@ -263,7 +263,7 @@ fn serve_incremental_estimates_match_one_shot_and_report_cache_stats() {
     )
     .expect("one-shot layout");
     assert_eq!(responses["l1"].result.as_ref().unwrap(), &one_shot.summary);
-    assert_eq!(json_u64(c2, "warm_seeds"), 1);
+    assert_eq!(json_u64(&c2[c2.find("\"warm\"").unwrap()..], "entries"), 1);
 
     // Every tech-using request after the first reused the session's
     // parsed tech DB (r1, l1, l2 — cache-stats and shutdown touch none).
