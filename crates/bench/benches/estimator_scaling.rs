@@ -15,6 +15,7 @@ use maestro::estimator::prob::{ProbTable, MAX_ROWS};
 use maestro::estimator::standard_cell::{self, ScParams};
 use maestro::netlist::chip::{ChipFamily, ChipSpec};
 use maestro::netlist::generate::{self, RandomLogicConfig};
+use maestro::netlist::mnl;
 use maestro::prelude::*;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -223,6 +224,28 @@ fn bench_device_scale(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `.mnl` front end: a generated `mixed` chip's text through
+/// [`mnl::parse_design_parallel`] on one and on two workers. The text is
+/// rendered once, outside the measurement. `CRITERION_QUICK` parses a
+/// 10k-device chip instead of the 100k-device one.
+fn bench_parse_design(c: &mut Criterion) {
+    let quick = std::env::var_os("CRITERION_QUICK").is_some();
+    let devices = if quick { 10_000 } else { 100_000 };
+    let spec = ChipSpec::new(ChipFamily::Mixed, devices).expect("valid chip spec");
+    let text: String = spec.modules().map(|m| mnl::to_mnl(&m)).collect();
+    let mut group = c.benchmark_group("netlist/parse_design");
+    for jobs in [1usize, 2] {
+        group.bench_function(format!("jobs_{jobs}"), |b| {
+            b.iter(|| {
+                let modules = mnl::parse_design_parallel(&text, jobs).expect("chip parses");
+                assert_eq!(modules.len(), spec.module_count());
+                modules
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Replica-parallel annealing: the same placement problem annealed with a
 /// single walk vs a best-of fan-out of independently seeded walks. On a
 /// multi-core host the replica row approaches the single-walk time (the
@@ -258,6 +281,7 @@ criterion_group!(
     bench_scaling,
     bench_batch,
     bench_device_scale,
+    bench_parse_design,
     bench_replicas
 );
 criterion_main!(benches);

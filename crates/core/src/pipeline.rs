@@ -14,12 +14,11 @@
 //! comparison the paper motivates ("trial floor plans for comparing the
 //! various different layout methodologies").
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use maestro_netlist::{
-    diff, mnl, LayoutStyle, MemoStats, Module, ModuleFingerprint, NetlistDiff, NetlistError,
-    NetlistStats, RevisionManifest, StatsCache,
+    diff, fan_out, mnl, LayoutStyle, MemoStats, Module, ModuleFingerprint, NetlistDiff,
+    NetlistError, NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
@@ -442,16 +441,10 @@ impl Pipeline {
         });
         let batch_id = batch.id();
         let before = self.prob_snapshot();
-        let slots: Vec<Mutex<Option<Result<EstimateRecord, NetlistError>>>> =
-            modules.iter().map(|_| Mutex::new(None)).collect();
-        self.run_shards(&modules, &shards, workers, batch_id, &slots);
+        let results = self.run_shards(&modules, &shards, workers, batch_id);
         self.emit_prob_delta(before);
         let mut db = ResultsDb::new();
-        for slot in slots {
-            let result = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("every module was estimated");
+        for result in results {
             db.insert(result?);
         }
         Ok(db)
@@ -490,39 +483,36 @@ impl Pipeline {
         })
     }
 
-    /// The shared parallel engine: `workers` scoped threads pull shard
-    /// indices from a counter and estimate every module of their shard
-    /// into `slots`. Worker spans parent to `batch_id` explicitly — the
-    /// spawning thread's span stack is not visible from inside a worker
-    /// thread.
+    /// The shared parallel engine: the shards go through [`fan_out`] on
+    /// `workers` threads, and every module's result comes back in module
+    /// order (shards are consecutive runs). Each worker labels its thread
+    /// `worker-N` and opens a `pipeline.worker` span parented to
+    /// `batch_id` explicitly — the spawning thread's span stack is not
+    /// visible from inside a worker thread.
     fn run_shards(
         &self,
         modules: &[&Module],
         shards: &[std::ops::Range<usize>],
         workers: usize,
         batch_id: u64,
-        slots: &[Mutex<Option<Result<EstimateRecord, NetlistError>>>],
-    ) {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("worker-{w}"));
-                    }
-                    let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(s) else { break };
-                        for i in shard.clone() {
-                            let result = self.run_module(modules[i]);
-                            *slots[i].lock().expect("result slot poisoned") = Some(result);
-                        }
-                    }
-                });
-            }
-        });
+    ) -> Vec<Result<EstimateRecord, NetlistError>> {
+        let per_shard = fan_out(
+            shards.len(),
+            workers,
+            |w| {
+                if trace::enabled() {
+                    trace::set_thread_label(format!("worker-{w}"));
+                }
+                trace::span_under("pipeline.worker", batch_id, String::new)
+            },
+            |s| {
+                shards[s]
+                    .clone()
+                    .map(|i| self.run_module(modules[i]))
+                    .collect::<Vec<_>>()
+            },
+        );
+        per_shard.into_iter().flatten().collect()
     }
 
     /// Estimates a stream of modules, emitting each [`EstimateRecord`]
@@ -604,14 +594,8 @@ impl Pipeline {
                 let refs: Vec<&Module> = wave.iter().collect();
                 let net_counts: Vec<usize> = refs.iter().map(|m| m.net_count()).collect();
                 let shards = plan_shards(&net_counts, workers, self.shard_net_budget);
-                let slots: Vec<Mutex<Option<Result<EstimateRecord, NetlistError>>>> =
-                    refs.iter().map(|_| Mutex::new(None)).collect();
-                self.run_shards(&refs, &shards, workers.min(shards.len()), batch_id, &slots);
-                for slot in slots {
-                    let result = slot
-                        .into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every module of the wave was estimated");
+                let results = self.run_shards(&refs, &shards, workers.min(shards.len()), batch_id);
+                for result in results {
                     let emit = result.and_then(&mut sink);
                     if let Err(e) = emit {
                         outcome = Err(e);

@@ -222,7 +222,7 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
     let specs = parse_chip_specs(&opts.generate)?;
     let mut modules = Vec::new();
     for file in &opts.files {
-        modules.extend(ops::load_modules(file)?);
+        modules.extend(ops::load_modules_parallel(file, opts.jobs)?);
     }
     if opts.stream && opts.since.is_some() {
         return Err("--since diffs whole revisions in memory; drop --stream".to_owned());
@@ -260,7 +260,7 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
         // ECO mode: classify this revision against the previous schematic
         // before estimating. The diff tally goes to stderr; stdout stays
         // byte-identical to a plain estimate of the same files.
-        let prev_modules = ops::load_modules(since)?;
+        let prev_modules = ops::load_modules_parallel(since, opts.jobs)?;
         let prev = RevisionManifest::from_modules(prev_modules.iter());
         let (text, run) =
             ops::estimate_output_incremental(&pipeline, &prev, &modules, opts.jobs, opts.json)?;
@@ -343,7 +343,7 @@ fn cmd_report(opts: &Options) -> Result<(), String> {
     let pipeline = planning_pipeline(opts)?;
     let mut modules = Vec::new();
     for file in &opts.files {
-        modules.extend(ops::load_modules(file)?);
+        modules.extend(ops::load_modules_parallel(file, opts.jobs)?);
     }
     let (text, plan) = ops::report_output(&pipeline, &modules, opts.aspect, opts.jobs)?;
     print!("{text}");

@@ -35,15 +35,22 @@ pub fn load_tech(spec: &str) -> Result<ProcessDb, String> {
 
 /// Loads the modules of one schematic file, dispatching on extension:
 /// `.mnl` is the native structural format; `.sp`/`.spice`/`.cir` are
-/// SPICE-subset decks.
+/// SPICE-subset decks. The one-worker [`load_modules_parallel`].
 pub fn load_modules(path: &str) -> Result<Vec<Module>, String> {
+    load_modules_parallel(path, 1)
+}
+
+/// [`load_modules`] with a `.mnl` design parsed on up to `jobs` workers
+/// ([`mnl::parse_design_parallel`]); the modules, and any error, are the
+/// same for every `jobs`.
+pub fn load_modules_parallel(path: &str, jobs: usize) -> Result<Vec<Module>, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let ext = Path::new(path)
         .extension()
         .and_then(|e| e.to_str())
         .unwrap_or("");
     match ext {
-        "mnl" => mnl::parse_design(&source).map_err(|e| format!("{path}: {e}")),
+        "mnl" => mnl::parse_design_parallel(&source, jobs).map_err(|e| format!("{path}: {e}")),
         "sp" | "spice" | "cir" => spice::parse(&source)
             .map(|m| vec![m])
             .map_err(|e| format!("{path}: {e}")),

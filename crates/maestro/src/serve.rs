@@ -174,21 +174,12 @@ impl Session {
     /// errors) stay byte-identical to the uncached path.
     fn try_parse_cached(&self, source: &str) -> Option<Vec<Arc<Module>>> {
         let _span = trace::span("serve.parse");
-        let modules = mnl::split_design(source)?
-            .into_iter()
-            .map(|chunk| {
-                self.parsed
-                    .get_or_insert_with(hash128(chunk.as_bytes()), || {
-                        mnl::parse(chunk).ok().map(Arc::new)
-                    })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        for (i, module) in modules.iter().enumerate() {
-            if modules[..i].iter().any(|m| m.name() == module.name()) {
-                return None; // duplicate name: parse_design owns the error
-            }
-        }
-        Some(modules)
+        mnl::parse_chunks(&mnl::split_design(source)?, 1, |chunk| {
+            self.parsed
+                .get_or_insert_with(hash128(chunk.as_bytes()), || {
+                    mnl::parse(chunk).ok().map(Arc::new)
+                })
+        })
     }
 
     /// Gathers a request's modules from file paths and inline sources,

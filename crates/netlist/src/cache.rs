@@ -72,8 +72,13 @@ impl Fnv128 {
 }
 
 impl ModuleFingerprint {
-    /// Fingerprints a module's full content.
+    /// Fingerprints a module's full content. The value is cached on the
+    /// module, so only its first call per module pays the hash.
     pub fn of(module: &Module) -> Self {
+        module.fingerprint_or_init(|| Self::compute(module))
+    }
+
+    fn compute(module: &Module) -> Self {
         let mut h = Fnv128::new();
         h.str(module.name());
         h.u64(module.port_count() as u64);
@@ -211,6 +216,15 @@ mod tests {
             ModuleFingerprint::of(&generate::counter(5)),
             ModuleFingerprint::of(&m)
         );
+    }
+
+    #[test]
+    fn renaming_drops_the_cached_fingerprint() {
+        let m = generate::counter(4);
+        let before = ModuleFingerprint::of(&m);
+        let renamed = m.clone().renamed("elsewhere");
+        assert_ne!(ModuleFingerprint::of(&renamed), before);
+        assert_eq!(ModuleFingerprint::of(&renamed.renamed(m.name())), before);
     }
 
     #[test]

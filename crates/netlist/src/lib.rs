@@ -17,7 +17,8 @@
 //! * [`StatsCache`] — the resolve-once memo over [`NetlistStats`], keyed
 //!   by ([`ModuleFingerprint`], technology revision, [`LayoutStyle`]);
 //! * [`Memo`] — the one bounded concurrent memo every cache in the stack
-//!   is built on;
+//!   is built on, and [`fan_out`] — the one indexed thread fan-out every
+//!   parallel batch runs on;
 //! * [`generate`] — seeded synthetic circuit generators (random logic plus
 //!   structured shift registers, adders, decoders, counters, mux trees);
 //! * [`library_circuits`] — the re-created Table 1 and Table 2 experiment
@@ -49,6 +50,7 @@ pub mod depth;
 pub mod diff;
 mod error;
 pub mod expand;
+mod fan_out;
 pub mod generate;
 mod ids;
 pub mod library_circuits;
@@ -62,6 +64,7 @@ pub mod validate;
 pub use cache::{ModuleFingerprint, StatsCache};
 pub use diff::{diff, NetlistDiff, RevisionManifest};
 pub use error::{NetlistError, ParseErrorKind};
+pub use fan_out::fan_out;
 pub use ids::{DeviceId, NetId, PortId};
 pub use memo::{Memo, MemoStats};
 pub use module::{Device, Module, ModuleBuilder, Net, PinRef, Port, PortDirection};

@@ -21,14 +21,19 @@
 //! Identifiers are `[A-Za-z_][A-Za-z0-9_]*`; `#` starts a line comment;
 //! nets may be declared lazily by first use inside a `device` binding.
 
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use crate::{Module, ModuleBuilder, NetlistError, ParseErrorKind, PortDirection};
+use maestro_trace as trace;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    Ident(String),
+use crate::{fan_out, Module, ModuleBuilder, NetlistError, ParseErrorKind, PortDirection};
+
+/// One lexical token. Identifiers borrow their text from the source, so
+/// lexing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Token<'src> {
+    Ident(&'src str),
     Semi,
     Comma,
     LParen,
@@ -36,114 +41,139 @@ enum Token {
     Equals,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    token: Token,
+#[derive(Debug, Clone, Copy)]
+struct Spanned<'src> {
+    token: Token<'src>,
     line: usize,
 }
 
-fn lex(source: &str) -> Result<Vec<Spanned>, NetlistError> {
-    let mut out = Vec::new();
-    for (lineno, line) in source.lines().enumerate() {
-        let line_no = lineno + 1;
-        let code = match line.find('#') {
-            Some(i) => &line[..i],
-            None => line,
-        };
-        let mut chars = code.char_indices().peekable();
-        while let Some(&(i, c)) = chars.peek() {
-            match c {
-                c if c.is_whitespace() => {
-                    chars.next();
-                }
-                ';' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Semi,
-                        line: line_no,
-                    });
-                }
-                ',' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Comma,
-                        line: line_no,
-                    });
-                }
-                '(' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::LParen,
-                        line: line_no,
-                    });
-                }
-                ')' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::RParen,
-                        line: line_no,
-                    });
-                }
-                '=' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Equals,
-                        line: line_no,
-                    });
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    let mut end = i + c.len_utf8();
-                    chars.next();
-                    while let Some(&(j, d)) = chars.peek() {
-                        if d.is_ascii_alphanumeric() || d == '_' {
-                            end = j + d.len_utf8();
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push(Spanned {
-                        token: Token::Ident(code[start..end].to_owned()),
-                        line: line_no,
-                    });
-                }
-                other => {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::UnexpectedToken,
-                        line_no,
-                        format!("unexpected character `{other}`"),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Parser {
-    tokens: Vec<Spanned>,
+/// A streaming lexer: the parser pulls one token at a time, so no
+/// whole-file token vector is ever built. The first lexical error ends
+/// the stream and is kept for [`Lexer::first_error`].
+struct Lexer<'src> {
+    source: &'src str,
     pos: usize,
+    line: usize,
+    /// Line of the most recently yielded token (1 before the first).
+    last_line: usize,
+    error: Option<NetlistError>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'src> Lexer<'src> {
+    fn new(source: &'src str) -> Self {
+        Lexer {
+            source,
+            pos: 0,
+            line: 1,
+            last_line: 1,
+            error: None,
         }
-        t
     }
 
-    fn last_line(&self) -> usize {
-        self.tokens.last().map_or(1, |t| t.line)
+    fn next_token(&mut self) -> Option<Spanned<'src>> {
+        let bytes = self.source.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            let token = match b {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                    continue;
+                }
+                b' ' | b'\t' | b'\r' => {
+                    self.pos += 1;
+                    continue;
+                }
+                // A comment runs to the end of its line.
+                b'#' => {
+                    self.pos = bytes[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(bytes.len(), |k| self.pos + k);
+                    continue;
+                }
+                b';' => Token::Semi,
+                b',' => Token::Comma,
+                b'(' => Token::LParen,
+                b')' => Token::RParen,
+                b'=' => Token::Equals,
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    let start = self.pos;
+                    self.pos = bytes[start..]
+                        .iter()
+                        .position(|&c| !(c.is_ascii_alphanumeric() || c == b'_'))
+                        .map_or(bytes.len(), |k| start + k);
+                    self.last_line = self.line;
+                    return Some(Spanned {
+                        token: Token::Ident(&self.source[start..self.pos]),
+                        line: self.line,
+                    });
+                }
+                _ => {
+                    // Whitespace is Unicode `White_Space` (what `str::trim`,
+                    // and so `split_design`, strips), not just ASCII.
+                    let c = self.source[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("the lexer stays on char boundaries");
+                    if c.is_whitespace() {
+                        self.pos += c.len_utf8();
+                        continue;
+                    }
+                    self.pos = bytes.len();
+                    self.error = Some(NetlistError::parse(
+                        ParseErrorKind::UnexpectedToken,
+                        self.line,
+                        format!("unexpected character `{c}`"),
+                    ));
+                    return None;
+                }
+            };
+            self.pos += 1;
+            self.last_line = self.line;
+            return Some(Spanned {
+                token,
+                line: self.line,
+            });
+        }
+        None
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, usize), NetlistError> {
+    /// The first lexical error of the whole source: the one that ended
+    /// the stream, or else the first one in the text not yet lexed.
+    fn first_error(&mut self) -> Option<NetlistError> {
+        while self.next_token().is_some() {}
+        self.error.take()
+    }
+}
+
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    peeked: Option<Spanned<'src>>,
+}
+
+impl<'src> Parser<'src> {
+    fn peek(&mut self) -> Option<Spanned<'src>> {
+        if self.peeked.is_none() {
+            self.peeked = self.lexer.next_token();
+        }
+        self.peeked
+    }
+
+    fn next(&mut self) -> Option<Spanned<'src>> {
+        self.peeked.take().or_else(|| self.lexer.next_token())
+    }
+
+    /// End of input where `what` was expected, reported at the last token
+    /// of the source.
+    fn eof(&self, what: &str) -> NetlistError {
+        NetlistError::parse(
+            ParseErrorKind::UnexpectedEof,
+            self.lexer.last_line,
+            format!("expected {what}"),
+        )
+    }
+
+    fn expect_ident(&mut self, what: &str) -> Result<(&'src str, usize), NetlistError> {
         match self.next() {
             Some(Spanned {
                 token: Token::Ident(s),
@@ -154,15 +184,11 @@ impl Parser {
                 line,
                 format!("expected {what}, found {token:?}"),
             )),
-            None => Err(NetlistError::parse(
-                ParseErrorKind::UnexpectedEof,
-                self.last_line(),
-                format!("expected {what}"),
-            )),
+            None => Err(self.eof(what)),
         }
     }
 
-    fn expect(&mut self, token: Token, what: &str) -> Result<usize, NetlistError> {
+    fn expect(&mut self, token: Token<'_>, what: &str) -> Result<usize, NetlistError> {
         match self.next() {
             Some(Spanned { token: t, line }) if t == token => Ok(line),
             Some(Spanned { token: t, line }) => Err(NetlistError::parse(
@@ -170,22 +196,22 @@ impl Parser {
                 line,
                 format!("expected {what}, found {t:?}"),
             )),
-            None => Err(NetlistError::parse(
-                ParseErrorKind::UnexpectedEof,
-                self.last_line(),
-                format!("expected {what}"),
-            )),
+            None => Err(self.eof(what)),
         }
     }
 
-    fn name_list(&mut self) -> Result<Vec<(String, usize)>, NetlistError> {
+    /// Consumes the next token if it is `token`.
+    fn eat(&mut self, token: Token<'_>) -> bool {
+        let hit = matches!(self.peek(), Some(t) if t.token == token);
+        if hit {
+            self.peeked = None;
+        }
+        hit
+    }
+
+    fn name_list(&mut self) -> Result<Vec<(&'src str, usize)>, NetlistError> {
         let mut names = vec![self.expect_ident("a name")?];
-        while let Some(Spanned {
-            token: Token::Comma,
-            ..
-        }) = self.peek()
-        {
-            self.next();
+        while self.eat(Token::Comma) {
             names.push(self.expect_ident("a name")?);
         }
         self.expect(Token::Semi, "`;`")?;
@@ -235,10 +261,14 @@ pub fn parse(source: &str) -> Result<Module, NetlistError> {
 /// `module … endmodule` blocks in one file — the "global module
 /// descriptions … for the whole chip" of the paper's Figure 1 database.
 ///
+/// A lexical error (a character outside the language) is reported in
+/// preference to any other error, wherever it lies in the source.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] on any syntax problem, or a
-/// [`ParseErrorKind::DuplicateName`] error when two modules share a name.
+/// [`ParseErrorKind::DuplicateName`] error, at the line of the second
+/// `module` keyword, when two modules share a name.
 ///
 /// # Examples
 ///
@@ -251,16 +281,92 @@ pub fn parse(source: &str) -> Result<Module, NetlistError> {
 /// # Ok::<(), maestro_netlist::NetlistError>(())
 /// ```
 pub fn parse_design(source: &str) -> Result<Vec<Module>, NetlistError> {
-    let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let mut modules: Vec<Module> = Vec::new();
-    while p.peek().is_some() {
-        let module = parse_one(&mut p)?;
-        if modules.iter().any(|m| m.name() == module.name()) {
+    let mut p = Parser {
+        lexer: Lexer::new(source),
+        peeked: None,
+    };
+    let parsed = parse_modules(&mut p);
+    match p.lexer.first_error() {
+        Some(lexical) => Err(lexical),
+        None => parsed,
+    }
+}
+
+/// [`parse_design`] with the per-module work fanned out over up to `jobs`
+/// worker threads: [`parse_chunks`] over the [`split_design`] chunks on
+/// `min(jobs, chunks)` workers (`jobs <= 1` parses on the calling
+/// thread), and the whole-file [`parse_design`] whenever that gives
+/// `None`. So the result — every diagnostic included — is the whole-file
+/// one for every `jobs`.
+///
+/// # Errors
+///
+/// Exactly those of [`parse_design`].
+///
+/// # Examples
+///
+/// ```
+/// use maestro_netlist::mnl;
+///
+/// let source = "module a;\ninput x;\nendmodule\nmodule b;\ninput y;\nendmodule\n";
+/// assert_eq!(mnl::parse_design_parallel(source, 2)?, mnl::parse_design(source)?);
+/// # Ok::<(), maestro_netlist::NetlistError>(())
+/// ```
+pub fn parse_design_parallel(source: &str, jobs: usize) -> Result<Vec<Module>, NetlistError> {
+    let chunks = split_design(source);
+    let count = chunks.as_ref().map_or(0, Vec::len);
+    let workers = jobs.clamp(1, count.max(1));
+    let _span = trace::span_with("mnl.parse", || {
+        format!("bytes={} chunks={count} workers={workers}", source.len())
+    });
+    match chunks.and_then(|chunks| parse_chunks(&chunks, workers, |chunk| parse(chunk).ok())) {
+        Some(modules) => Ok(modules),
+        None => parse_design(source),
+    }
+}
+
+/// Parses each of the [`split_design`] `chunks` as one module with
+/// `parse_chunk`, on `min(workers, chunks)` threads (on the calling
+/// thread for one), keeping chunk order.
+///
+/// Returns `None` when any chunk gives `None` or two modules share a
+/// name; the caller then parses the whole source with [`parse_design`],
+/// which owns every diagnostic. This is the rule that keeps a chunked
+/// parse — [`parse_design_parallel`], or a memo of chunk parses —
+/// identical to the whole-file one.
+pub fn parse_chunks<M>(
+    chunks: &[&str],
+    workers: usize,
+    parse_chunk: impl Fn(&str) -> Option<M> + Sync,
+) -> Option<Vec<M>>
+where
+    M: Borrow<Module> + Send,
+{
+    let modules: Option<Vec<M>> = if workers <= 1 {
+        chunks.iter().map(|chunk| parse_chunk(chunk)).collect()
+    } else {
+        fan_out(chunks.len(), workers, |_| (), |i| parse_chunk(chunks[i]))
+            .into_iter()
+            .collect()
+    };
+    let modules = modules?;
+    let mut names = HashSet::with_capacity(modules.len());
+    modules
+        .iter()
+        .all(|m| names.insert(m.borrow().name()))
+        .then_some(modules)
+}
+
+fn parse_modules(p: &mut Parser<'_>) -> Result<Vec<Module>, NetlistError> {
+    let mut modules = Vec::new();
+    let mut names = HashSet::new();
+    while let Some(first) = p.peek() {
+        let (module, name) = parse_one(p)?;
+        if !names.insert(name) {
             return Err(NetlistError::parse(
                 ParseErrorKind::DuplicateName,
-                p.last_line(),
-                format!("module `{}` defined twice", module.name()),
+                first.line,
+                format!("module `{name}` defined twice"),
             ));
         }
         modules.push(module);
@@ -275,40 +381,40 @@ pub fn parse_design(source: &str) -> Result<Vec<Module>, NetlistError> {
     Ok(modules)
 }
 
-fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
-    let line = p.expect(Token::Ident("module".to_owned()), "keyword `module`");
-    // Better message when the first token isn't `module`.
-    let line = match line {
-        Ok(l) => l,
-        Err(NetlistError::Parse { line, .. }) => {
+/// Parses one `module … endmodule` block, returning the module and its
+/// name as spelled in the source.
+fn parse_one<'src>(p: &mut Parser<'src>) -> Result<(Module, &'src str), NetlistError> {
+    match p.next() {
+        Some(Spanned {
+            token: Token::Ident("module"),
+            ..
+        }) => {}
+        // Better message when the first token isn't `module`.
+        other => {
             return Err(NetlistError::parse(
                 ParseErrorKind::Malformed,
-                line,
+                other.map_or(p.lexer.last_line, |t| t.line),
                 "netlist must start with `module <name>;`",
             ));
         }
-        Err(e) => return Err(e),
-    };
-    let _ = line;
+    }
     let (module_name, _) = p.expect_ident("module name")?;
     p.expect(Token::Semi, "`;`")?;
 
     let mut b = ModuleBuilder::new(module_name);
-    let mut declared_ports: BTreeSet<String> = BTreeSet::new();
-    let mut declared_devices: BTreeSet<String> = BTreeSet::new();
-
+    let mut bindings: Vec<(&str, &str)> = Vec::new();
     loop {
         let (kw, line) = p.expect_ident("a statement keyword")?;
-        match kw.as_str() {
+        match kw {
             "endmodule" => break,
             "input" | "output" | "inout" => {
-                let dir = match kw.as_str() {
+                let dir = match kw {
                     "input" => PortDirection::Input,
                     "output" => PortDirection::Output,
                     _ => PortDirection::InOut,
                 };
                 for (name, line) in p.name_list()? {
-                    if !declared_ports.insert(name.clone()) {
+                    if b.has_port(name) {
                         return Err(NetlistError::parse(
                             ParseErrorKind::DuplicateName,
                             line,
@@ -325,7 +431,7 @@ fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
             }
             "device" => {
                 let (inst, line) = p.expect_ident("device instance name")?;
-                if !declared_devices.insert(inst.clone()) {
+                if b.has_device(inst) {
                     return Err(NetlistError::parse(
                         ParseErrorKind::DuplicateName,
                         line,
@@ -334,19 +440,13 @@ fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
                 }
                 let (template, _) = p.expect_ident("device template name")?;
                 p.expect(Token::LParen, "`(`")?;
-                let mut bindings: Vec<(String, String)> = Vec::new();
-                if !matches!(
-                    p.peek(),
-                    Some(Spanned {
-                        token: Token::RParen,
-                        ..
-                    })
-                ) {
+                bindings.clear();
+                if !matches!(p.peek(), Some(t) if t.token == Token::RParen) {
                     loop {
                         let (pin, line) = p.expect_ident("pin name")?;
                         p.expect(Token::Equals, "`=`")?;
                         let (net, _) = p.expect_ident("net name")?;
-                        if bindings.iter().any(|(existing, _)| *existing == pin) {
+                        if bindings.iter().any(|&(existing, _)| existing == pin) {
                             return Err(NetlistError::parse(
                                 ParseErrorKind::DuplicateName,
                                 line,
@@ -354,31 +454,20 @@ fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
                             ));
                         }
                         bindings.push((pin, net));
-                        match p.peek() {
-                            Some(Spanned {
-                                token: Token::Comma,
-                                ..
-                            }) => {
-                                p.next();
-                            }
-                            _ => break,
+                        if !p.eat(Token::Comma) {
+                            break;
                         }
                     }
                 }
                 p.expect(Token::RParen, "`)`")?;
                 p.expect(Token::Semi, "`;`")?;
-                let resolved: Vec<(String, crate::NetId)> = bindings
-                    .into_iter()
-                    .map(|(pin, net)| {
-                        let id = b.net(net);
-                        (pin, id)
-                    })
+                // Nets bound here are declared only once the whole
+                // statement has parsed, in binding order.
+                let pins: Vec<(&str, crate::NetId)> = bindings
+                    .iter()
+                    .map(|&(pin, net)| (pin, b.net(net)))
                     .collect();
-                b.device(
-                    inst,
-                    template,
-                    resolved.iter().map(|(p, n)| (p.as_str(), *n)),
-                );
+                b.device(inst, template, pins);
             }
             other => {
                 return Err(NetlistError::parse(
@@ -390,7 +479,7 @@ fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
         }
     }
 
-    Ok(b.finish())
+    Ok((b.finish(), module_name))
 }
 
 /// Serializes a module back to `.mnl` text.
@@ -660,6 +749,37 @@ endmodule
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn duplicate_module_is_reported_at_its_second_header() {
+        // `a` is redefined on line 4; the file ends on line 10.
+        let src = "module a;\nendmodule\n\nmodule a;\ninput x;\nendmodule\n\
+                   module b;\ninput y;\noutput z;\nendmodule\n";
+        let err = parse_design(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: duplicate name: module `a` defined twice"
+        );
+    }
+
+    #[test]
+    fn a_lexical_error_outranks_an_earlier_syntax_error() {
+        let err = parse_design("module a;\ndevice ;\nendmodule\nmodule b;\nnet $;\nendmodule\n")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 5: unexpected token: unexpected character `$`"
+        );
+    }
+
+    #[test]
+    fn eof_errors_report_the_last_token_line() {
+        let err = parse("module m;\ninput a\n\n# trailing comment\n").unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::parse(ParseErrorKind::UnexpectedEof, 2, "expected `;`")
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The in-memory schematic graph: modules, devices, nets and ports.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DeviceId, NetId, PortId};
+use crate::{DeviceId, ModuleFingerprint, NetId, PortId};
 
 /// Direction of a module I/O port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -30,7 +31,7 @@ impl fmt::Display for PortDirection {
 }
 
 /// A module I/O port, attached to exactly one net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
     name: String,
     direction: PortDirection,
@@ -55,7 +56,7 @@ impl Port {
 }
 
 /// One device pin attached to a net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PinRef {
     /// The attached device.
     pub device: DeviceId,
@@ -64,7 +65,7 @@ pub struct PinRef {
 }
 
 /// A signal net connecting device pins and module ports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     name: String,
     pins: Vec<PinRef>,
@@ -137,7 +138,7 @@ impl Net {
 
 /// A device instance: a named use of a technology template (standard cell
 /// or transistor) with pin-to-net bindings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     name: String,
     template: String,
@@ -173,13 +174,29 @@ impl Device {
 ///
 /// Construct through [`ModuleBuilder`], the [`crate::mnl`] parser or the
 /// [`crate::spice`] reader. The graph is append-only once built.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Module {
     name: String,
     devices: Vec<Device>,
     nets: Vec<Net>,
     ports: Vec<Port>,
+    /// [`ModuleFingerprint::of`], computed on first use. The graph never
+    /// changes once built, and every memo lookup keys on it, so a module
+    /// shared across requests is hashed once.
+    fingerprint: OnceLock<ModuleFingerprint>,
 }
+
+/// Equality is over the graph; the cached fingerprint is derived from it.
+impl PartialEq for Module {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.devices == other.devices
+            && self.nets == other.nets
+            && self.ports == other.ports
+    }
+}
+
+impl Eq for Module {}
 
 impl Module {
     /// Module name.
@@ -192,7 +209,16 @@ impl Module {
     /// instance in a batch uniquely addressable (reports, floorplans).
     pub fn renamed(mut self, name: impl Into<String>) -> Module {
         self.name = name.into();
+        self.fingerprint = OnceLock::new();
         self
+    }
+
+    /// The cached fingerprint, running `compute` on first use.
+    pub(crate) fn fingerprint_or_init(
+        &self,
+        compute: impl FnOnce() -> ModuleFingerprint,
+    ) -> ModuleFingerprint {
+        *self.fingerprint.get_or_init(compute)
     }
 
     /// The paper's `N`: number of device instances.
@@ -325,9 +351,9 @@ pub struct ModuleBuilder {
     devices: Vec<Device>,
     nets: Vec<Net>,
     ports: Vec<Port>,
-    device_names: BTreeMap<String, DeviceId>,
-    net_names: BTreeMap<String, NetId>,
-    port_names: BTreeMap<String, PortId>,
+    device_names: HashMap<String, DeviceId>,
+    net_names: HashMap<String, NetId>,
+    port_names: HashMap<String, PortId>,
 }
 
 impl ModuleBuilder {
@@ -344,19 +370,20 @@ impl ModuleBuilder {
             devices: Vec::new(),
             nets: Vec::new(),
             ports: Vec::new(),
-            device_names: BTreeMap::new(),
-            net_names: BTreeMap::new(),
-            port_names: BTreeMap::new(),
+            device_names: HashMap::new(),
+            net_names: HashMap::new(),
+            port_names: HashMap::new(),
         }
     }
 
     /// Declares an internal net. Re-declaring an existing name returns the
-    /// existing id, which lets textual formats reference nets lazily.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.net_names.get(&name) {
+    /// existing id (without allocating), which lets textual formats
+    /// reference nets lazily.
+    pub fn net(&mut self, name: impl AsRef<str> + Into<String>) -> NetId {
+        if let Some(&id) = self.net_names.get(name.as_ref()) {
             return id;
         }
+        let name = name.into();
         let id = NetId::new(self.nets.len() as u32);
         self.nets.push(Net {
             name: name.clone(),
@@ -380,7 +407,7 @@ impl ModuleBuilder {
             "duplicate port `{name}` in module `{}`",
             self.name
         );
-        let net = self.net(name.clone());
+        let net = self.net(name.as_str());
         let id = PortId::new(self.ports.len() as u32);
         self.ports.push(Port {
             name: name.clone(),
@@ -439,6 +466,16 @@ impl ModuleBuilder {
         id
     }
 
+    /// `true` if a port of this name has been declared.
+    pub(crate) fn has_port(&self, name: &str) -> bool {
+        self.port_names.contains_key(name)
+    }
+
+    /// `true` if a device of this instance name has been added.
+    pub(crate) fn has_device(&self, name: &str) -> bool {
+        self.device_names.contains_key(name)
+    }
+
     /// Number of devices added so far.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -451,6 +488,7 @@ impl ModuleBuilder {
             devices: self.devices,
             nets: self.nets,
             ports: self.ports,
+            fingerprint: OnceLock::new(),
         }
     }
 }

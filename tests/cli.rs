@@ -110,6 +110,40 @@ fn generate_prints_a_chip_summary_and_writes_parsable_mnl() {
 }
 
 #[test]
+fn estimate_of_a_generated_chip_is_jobs_invariant() {
+    // `--jobs` fans out parsing as well as estimation; neither may show
+    // in the output.
+    let dir = std::env::temp_dir().join("maestro-cli-jobs-invariance-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("chip.mnl");
+    let path = path.to_string_lossy();
+    let generated = cli()
+        .args(["generate", "mixed:20k", "--out", &path])
+        .output()
+        .expect("runs");
+    assert!(generated.status.success());
+    let estimate = |jobs: &str| {
+        let out = cli()
+            .args(["estimate", &path, &asset("table1.mnl"), "--jobs", jobs])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let serial = estimate("1");
+    assert!(serial.len() > 1000, "a real table");
+    assert!(
+        serial == estimate("3"),
+        "--jobs 3 output differs from --jobs 1"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn generate_rejects_a_bad_spec() {
     let out = cli()
         .args(["generate", "castle:10k"])
