@@ -6,6 +6,8 @@
 //! random move, report the new cost, and be able to revert exactly one
 //! applied move.
 
+use std::sync::Mutex;
+
 use maestro_trace as trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,15 +141,16 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 ///
 /// `replicas = 1` runs today's calibrate-then-anneal sequence in place —
 /// no clone, no spawn — and is bit-identical to calling [`anneal`]
-/// directly. For `replicas > 1` the walks fan out over scoped threads
-/// (serially when `work_size` is below
-/// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results land in per-replica slots,
-/// so the reduction is independent of thread scheduling.
+/// directly. For `replicas > 1` the walks fan out on
+/// [`maestro_netlist::fan_out`], one thread per walk (serially when
+/// `work_size` is below [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results come
+/// back in replica order, so the reduction is independent of thread
+/// scheduling.
 ///
 /// Emits `anneal.replicas` and `anneal.replica_best` counters; each
 /// replica thread labels itself `replica-{r}`, so its spans and
 /// accept/reject counters carry per-replica attribution.
-pub fn anneal_replicas<S: AnnealState + Send>(
+pub fn anneal_replicas<S: AnnealState + Send + Sync>(
     state: &mut S,
     schedule: &AnnealSchedule,
     base_seed: u64,
@@ -180,7 +183,7 @@ pub fn anneal_replicas<S: AnnealState + Send>(
 /// usual `anneal.replicas` / `anneal.replica_best` counters (the warm
 /// walk counts as a replica) plus `anneal.warm_walks` and
 /// `anneal.warm_best` (1 when the warm walk won).
-pub fn anneal_replicas_warm<S: AnnealState + Send>(
+pub fn anneal_replicas_warm<S: AnnealState + Send + Sync>(
     state: &mut S,
     warm: Option<S>,
     schedule: &AnnealSchedule,
@@ -221,45 +224,51 @@ pub fn anneal_replicas_warm<S: AnnealState + Send>(
         (cost, local)
     };
     let cold = &*state;
-    let starts = (0..replicas).map(|_| cold.clone()).chain(warm);
-    let mut slots: Vec<Option<(f64, S)>> = (0..total).map(|_| None).collect();
-    if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
-        for ((r, slot), local) in slots.iter_mut().enumerate().zip(starts) {
-            *slot = Some(run_replica(r, local));
-        }
+    let mut results: Vec<(f64, S)> = if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
+        (0..replicas)
+            .map(|_| cold.clone())
+            .chain(warm)
+            .enumerate()
+            .map(|(r, local)| run_replica(r, local))
+            .collect()
     } else {
-        std::thread::scope(|scope| {
-            for ((r, slot), local) in slots.iter_mut().enumerate().zip(starts) {
-                let run = &run_replica;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("replica-{r}"));
-                    }
-                    *slot = Some(run(r, local));
-                });
-            }
-        });
-    }
-    let mut best_idx = 0usize;
-    let mut best = slots[0].take().expect("replica 0 result");
-    for (r, slot) in slots.iter_mut().enumerate().skip(1) {
-        let (cost, s) = slot.take().expect("replica result");
-        // Strict `<`: ties keep the lowest index, so the warm walk (the
-        // highest index) only wins by strictly improving on every cold
-        // walk.
-        if cost < best.0 {
-            best = (cost, s);
-            best_idx = r;
+        let warm = Mutex::new(warm);
+        maestro_netlist::fan_out(
+            total,
+            total,
+            |_| (),
+            |r| {
+                if trace::enabled() {
+                    trace::set_thread_label(format!("replica-{r}"));
+                }
+                let local = if r < replicas {
+                    cold.clone()
+                } else {
+                    let prior = warm.lock().expect("warm start lock").take();
+                    prior.expect("the warm walk runs once")
+                };
+                run_replica(r, local)
+            },
+        )
+    };
+    // Strict `<`: ties keep the lowest index, so the warm walk (the
+    // highest index) only wins by strictly improving on every cold walk.
+    let best_idx = (1..total).fold(0, |best, r| {
+        if results[r].0 < results[best].0 {
+            r
+        } else {
+            best
         }
-    }
+    });
+    let (cost, best) = results.swap_remove(best_idx);
     trace::counter("anneal.replicas", total as u64);
     trace::counter("anneal.replica_best", best_idx as u64);
     if warmed {
         trace::counter("anneal.warm_walks", 1);
         trace::counter("anneal.warm_best", u64::from(best_idx == replicas));
     }
-    *state = best.1;
-    best.0
+    *state = best;
+    cost
 }
 
 /// Runs the Metropolis loop, mutating `state` toward lower cost; returns

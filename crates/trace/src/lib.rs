@@ -3,7 +3,7 @@
 //! The paper's pitch is *speed*: an analytical estimator fast enough to
 //! sit inside a floorplanner's inner loop. Keeping it fast requires seeing
 //! where time and work go inside a run. This crate is the workspace's
-//! lightweight, zero-dependency instrumentation layer:
+//! lightweight instrumentation layer:
 //!
 //! - **Spans** ([`span`], [`span_with`]): nestable stages with wall-clock
 //!   timings, parent links and per-thread attribution, emitted on drop.

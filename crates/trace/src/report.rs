@@ -1,13 +1,14 @@
 //! Folding a JSON-lines trace into a per-stage timing summary — the
 //! machine-readable `BENCH_<label>.json` perf-trajectory artifact.
 //!
-//! The reader is a deliberately small parser for the flat single-object
-//! lines this crate's [`Event::to_json_line`] emits (it tolerates unknown
-//! keys and arbitrary key order, rejects anything structurally deeper).
+//! Trace lines and reports are read back through `serde_json`. Readers
+//! tolerate unknown keys and arbitrary key order.
 
 use std::collections::BTreeMap;
 
-use crate::event::format_f64;
+use serde::{find_field, Deserialize, Value};
+
+use crate::event::{escape_into, format_f64};
 use crate::Event;
 
 /// A malformed trace line.
@@ -27,301 +28,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-}
-
-/// Parses one flat JSON object (`{"key":"str","key2":123,…}`) into its
-/// fields. Returns an error message on structural problems.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let text = line.trim();
-    let mut fields = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + h.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit `{h}` in \\u escape"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err("expected `{`".to_owned()),
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ':')) => {}
-                other => return Err(format!("expected `:` after key, found {other:?}")),
-            }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some((_, '"')) => Value::Str(parse_string(&mut chars)?),
-                Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-                    let mut end = start;
-                    while let Some(&(i, c)) = chars.peek() {
-                        if c == '-'
-                            || c == '+'
-                            || c == '.'
-                            || c == 'e'
-                            || c == 'E'
-                            || c.is_ascii_digit()
-                        {
-                            end = i + c.len_utf8();
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    let number = &text[start..end];
-                    Value::Num(
-                        number
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad number `{number}`"))?,
-                    )
-                }
-                other => return Err(format!("unsupported value start {other:?}")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => break,
-                other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at `{c}`"));
-    }
-    Ok(fields)
-}
-
-/// A nested JSON value, as far as the `BENCH_<label>.json` schema needs:
-/// objects, arrays, strings and numbers (no booleans or nulls).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(f64),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str_of(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            Some(_) => Err(format!("field `{key}` must be a string")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn u64_of(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-            Some(_) => Err(format!("field `{key}` must be a non-negative number")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-}
-
-/// Parses one nested JSON document (the report schema subset).
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut chars = text.char_indices().peekable();
-    let value = parse_json_value(text, &mut chars)?;
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at `{c}`"));
-    }
-    Ok(value)
-}
-
-fn parse_json_value(
-    text: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Result<Json, String> {
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    skip_ws(chars);
-    match chars.peek() {
-        Some((_, '"')) => Ok(Json::Str(parse_string(chars)?)),
-        Some((_, '{')) => {
-            chars.next();
-            let mut fields = Vec::new();
-            skip_ws(chars);
-            if matches!(chars.peek(), Some((_, '}'))) {
-                chars.next();
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(chars);
-                let key = parse_string(chars)?;
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ':')) => {}
-                    other => return Err(format!("expected `:` after key, found {other:?}")),
-                }
-                fields.push((key, parse_json_value(text, chars)?));
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, '}')) => return Ok(Json::Obj(fields)),
-                    other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-                }
-            }
-        }
-        Some((_, '[')) => {
-            chars.next();
-            let mut items = Vec::new();
-            skip_ws(chars);
-            if matches!(chars.peek(), Some((_, ']'))) {
-                chars.next();
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_json_value(text, chars)?);
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, ']')) => return Ok(Json::Arr(items)),
-                    other => return Err(format!("expected `,` or `]`, found {other:?}")),
-                }
-            }
-        }
-        Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-            let mut end = start;
-            while let Some(&(i, c)) = chars.peek() {
-                if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-                    end = i + c.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            let number = &text[start..end];
-            Ok(Json::Num(
-                number
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad number `{number}`"))?,
-            ))
-        }
-        other => Err(format!("unsupported value start {other:?}")),
-    }
-}
-
-fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(fields, key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(Value::Num(_)) => Err(format!("field `{key}` must be a string")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn u64_field(fields: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match field(fields, key) {
-        Some(Value::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-        Some(_) => Err(format!("field `{key}` must be a non-negative number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn f64_field(fields: &[(String, Value)], key: &str) -> Result<f64, String> {
-    match field(fields, key) {
-        Some(Value::Num(n)) => Ok(*n),
-        Some(Value::Str(_)) => Err(format!("field `{key}` must be a number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
 /// Parses one JSON-lines trace event.
 ///
 /// # Errors
@@ -329,26 +35,41 @@ fn f64_field(fields: &[(String, Value)], key: &str) -> Result<f64, String> {
 /// Returns the structural or schema problem as a message (the caller adds
 /// the line number).
 pub fn parse_event(line: &str) -> Result<Event, String> {
-    let fields = parse_flat_object(line)?;
-    match str_field(&fields, "type")?.as_str() {
+    let value: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let fields = value.as_object().ok_or("expected a JSON object")?;
+    let get = |key: &str| find_field(fields, key).ok_or_else(|| format!("missing field `{key}`"));
+    let string = |key: &str| -> Result<String, String> {
+        match get(key)? {
+            Value::Str(s) => Ok(s.clone()),
+            _ => Err(format!("field `{key}` must be a string")),
+        }
+    };
+    let count = |key: &str| -> Result<u64, String> {
+        get(key)?
+            .as_u64()
+            .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
+    };
+    match string("type")?.as_str() {
         "span" => Ok(Event::Span {
-            id: u64_field(&fields, "id")?,
-            parent: u64_field(&fields, "parent")?,
-            name: str_field(&fields, "name")?,
-            detail: str_field(&fields, "detail").unwrap_or_default(),
-            thread: str_field(&fields, "thread")?,
-            start_us: u64_field(&fields, "start_us")?,
-            dur_us: u64_field(&fields, "dur_us")?,
+            id: count("id")?,
+            parent: count("parent")?,
+            name: string("name")?,
+            detail: string("detail").unwrap_or_default(),
+            thread: string("thread")?,
+            start_us: count("start_us")?,
+            dur_us: count("dur_us")?,
         }),
         "counter" => Ok(Event::Counter {
-            name: str_field(&fields, "name")?,
-            value: u64_field(&fields, "value")?,
-            thread: str_field(&fields, "thread")?,
+            name: string("name")?,
+            value: count("value")?,
+            thread: string("thread")?,
         }),
         "metric" => Ok(Event::Metric {
-            name: str_field(&fields, "name")?,
-            value: f64_field(&fields, "value")?,
-            thread: str_field(&fields, "thread")?,
+            name: string("name")?,
+            value: get("value")?
+                .as_f64()
+                .ok_or("field `value` must be a number")?,
+            thread: string("thread")?,
         }),
         other => Err(format!("unknown event type `{other}`")),
     }
@@ -373,7 +94,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<Event>, ParseError> {
 }
 
 /// Aggregated timing of one stage (all spans sharing a name).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct StageSummary {
     /// Stage (span) name.
     pub name: String,
@@ -393,7 +114,7 @@ pub struct StageSummary {
 /// times partition the trace. Folded for the stage names
 /// [`is_latency_stage`] recognizes (the serve daemon's per-request
 /// spans).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct LatencySummary {
     /// Stage (span) name, e.g. `serve.request`.
     pub name: String,
@@ -434,6 +155,23 @@ pub struct PerfReport {
     pub counters: BTreeMap<String, u64>,
     /// Metrics by name (last value wins).
     pub metrics: BTreeMap<String, f64>,
+}
+
+/// A `BENCH_<label>.json` document as [`PerfReport::from_json`] reads it.
+/// `counters` and `metrics` are JSON objects, which the `BTreeMap`
+/// deserializer (it reads `[key, value]` pair arrays) does not take, so
+/// they stay raw [`Value`]s here.
+#[derive(Deserialize)]
+struct ReportDoc {
+    label: String,
+    wall_us: u64,
+    work_us: u64,
+    stages: Vec<StageSummary>,
+    // Optional: baselines predating serve-mode carry no latency rows.
+    #[serde(default)]
+    latencies: Vec<LatencySummary>,
+    counters: Value,
+    metrics: Value,
 }
 
 /// Thread-label prefix the annealing engine gives its replica workers.
@@ -564,6 +302,15 @@ pub fn fold(events: &[Event], label: &str) -> PerfReport {
     }
 }
 
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
+    out
+}
+
 /// Nearest-rank percentile over an ascending-sorted slice; 0 when empty.
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -591,80 +338,36 @@ impl PerfReport {
     ///
     /// Returns the structural or schema problem as a message.
     pub fn from_json(text: &str) -> Result<PerfReport, String> {
-        let root = parse_json(text)?;
-        let mut stages = Vec::new();
-        match root.get("stages") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    stages.push(StageSummary {
-                        name: item.str_of("name")?,
-                        count: item.u64_of("count")?,
-                        total_us: item.u64_of("total_us")?,
-                        self_us: item.u64_of("self_us")?,
-                    });
-                }
-            }
-            Some(_) => return Err("field `stages` must be an array".to_owned()),
-            None => return Err("missing field `stages`".to_owned()),
+        let doc: ReportDoc = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if doc.latencies.iter().any(|l| l.rps < 0.0) {
+            return Err("field `rps` must be a non-negative number".to_owned());
         }
-        // Optional: baselines predating serve-mode carry no latency rows.
-        let mut latencies = Vec::new();
-        match root.get("latencies") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let rps = match item.get("rps") {
-                        Some(Json::Num(n)) if *n >= 0.0 => *n,
-                        Some(_) => return Err("field `rps` must be a non-negative number".into()),
-                        None => return Err("missing field `rps`".to_owned()),
-                    };
-                    latencies.push(LatencySummary {
-                        name: item.str_of("name")?,
-                        count: item.u64_of("count")?,
-                        p50_us: item.u64_of("p50_us")?,
-                        p99_us: item.u64_of("p99_us")?,
-                        rps,
-                    });
-                }
-            }
-            Some(_) => return Err("field `latencies` must be an array".to_owned()),
-            None => {}
-        }
-        let mut counters = BTreeMap::new();
-        match root.get("counters") {
-            Some(Json::Obj(fields)) => {
-                for (name, value) in fields {
-                    match value {
-                        Json::Num(n) if *n >= 0.0 => {
-                            counters.insert(name.clone(), *n as u64);
-                        }
-                        _ => return Err(format!("counter `{name}` must be a non-negative number")),
-                    }
-                }
-            }
-            Some(_) => return Err("field `counters` must be an object".to_owned()),
-            None => return Err("missing field `counters`".to_owned()),
-        }
-        let mut metrics = BTreeMap::new();
-        match root.get("metrics") {
-            Some(Json::Obj(fields)) => {
-                for (name, value) in fields {
-                    match value {
-                        Json::Num(n) => {
-                            metrics.insert(name.clone(), *n);
-                        }
-                        _ => return Err(format!("metric `{name}` must be a number")),
-                    }
-                }
-            }
-            Some(_) => return Err("field `metrics` must be an object".to_owned()),
-            None => return Err("missing field `metrics`".to_owned()),
-        }
+        let counters = doc
+            .counters
+            .as_object()
+            .ok_or("field `counters` must be an object")?
+            .iter()
+            .map(|(name, value)| match value.as_u64() {
+                Some(n) => Ok((name.clone(), n)),
+                None => Err(format!("counter `{name}` must be a non-negative integer")),
+            })
+            .collect::<Result<_, _>>()?;
+        let metrics = doc
+            .metrics
+            .as_object()
+            .ok_or("field `metrics` must be an object")?
+            .iter()
+            .map(|(name, value)| match value.as_f64() {
+                Some(x) => Ok((name.clone(), x)),
+                None => Err(format!("metric `{name}` must be a number")),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(PerfReport {
-            label: root.str_of("label")?,
-            wall_us: root.u64_of("wall_us")?,
-            work_us: root.u64_of("work_us")?,
-            stages,
-            latencies,
+            label: doc.label,
+            wall_us: doc.wall_us,
+            work_us: doc.work_us,
+            stages: doc.stages,
+            latencies: doc.latencies,
             counters,
             metrics,
         })
@@ -675,15 +378,18 @@ impl PerfReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", self.label));
+        out.push_str(&format!("  \"label\": {},\n", quoted(&self.label)));
         out.push_str(&format!("  \"wall_us\": {},\n", self.wall_us));
         out.push_str(&format!("  \"work_us\": {},\n", self.work_us));
         out.push_str("  \"stages\": [\n");
         for (i, s) in self.stages.iter().enumerate() {
             let comma = if i + 1 < self.stages.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}, \"self_us\": {}}}{comma}\n",
-                s.name, s.count, s.total_us, s.self_us
+                "    {{\"name\": {}, \"count\": {}, \"total_us\": {}, \"self_us\": {}}}{comma}\n",
+                quoted(&s.name),
+                s.count,
+                s.total_us,
+                s.self_us
             ));
         }
         out.push_str("  ],\n");
@@ -695,9 +401,9 @@ impl PerfReport {
                 ""
             };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \
                  \"rps\": {}}}{comma}\n",
-                l.name,
+                quoted(&l.name),
                 l.count,
                 l.p50_us,
                 l.p99_us,
@@ -708,13 +414,17 @@ impl PerfReport {
         out.push_str("  \"counters\": {\n");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {value}{comma}\n"));
+            out.push_str(&format!("    {}: {value}{comma}\n", quoted(name)));
         }
         out.push_str("  },\n");
         out.push_str("  \"metrics\": {\n");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {}{comma}\n", format_f64(*value)));
+            out.push_str(&format!(
+                "    {}: {}{comma}\n",
+                quoted(name),
+                format_f64(*value)
+            ));
         }
         out.push_str("  }\n");
         out.push('}');
@@ -1036,8 +746,21 @@ mod tests {
                 value: -1.25,
                 thread: "main".to_owned(),
             },
+            // Integers past 2^53 and floats whose shortest form is a long
+            // digit string survive the round trip exactly.
+            span(3, 1, "late", (1 << 53) + 1, 10),
+            Event::Counter {
+                name: "c".to_owned(),
+                value: (1 << 53) + 1,
+                thread: "main".to_owned(),
+            },
         ];
-        for event in events {
+        let metrics = [1e23, 1e300, -2.5e-10].map(|value| Event::Metric {
+            name: "m".to_owned(),
+            value,
+            thread: "main".to_owned(),
+        });
+        for event in events.into_iter().chain(metrics) {
             let line = event.to_json_line();
             let parsed = parse_event(&line).expect("parses");
             assert_eq!(parsed, event, "line: {line}");
@@ -1067,6 +790,8 @@ mod tests {
             "{\"type\":\"mystery\",\"name\":\"x\",\"thread\":\"t\"}",
             "{\"type\":\"counter\",\"name\":\"c\",\"value\":\"NaN\",\"thread\":\"t\"}",
             "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\"} trailing",
+            "{\"type\":\"counter\",\"name\":\"c\",\"value\":-1,\"thread\":\"t\"}",
+            "{\"type\":\"metric\",\"name\":\"m\",\"value\":\"1\",\"thread\":\"t\"}",
         ] {
             assert!(parse_event(bad).is_err(), "accepted: {bad}");
         }
@@ -1212,6 +937,13 @@ mod tests {
         let report = fold(&events, "pr4");
         let back = PerfReport::from_json(&report.to_json()).expect("parses own output");
         assert_eq!(back, report);
+        // Labels and names are escaped: quote, backslash, control char.
+        let mut odd = report.clone();
+        odd.label = "a\"b\\c\u{1}".to_owned();
+        odd.counters
+            .insert("odd \"c\" \\ \n".to_owned(), (1 << 53) + 1);
+        let back = PerfReport::from_json(&odd.to_json()).expect("parses escaped output");
+        assert_eq!(back, odd);
     }
 
     #[test]
@@ -1225,6 +957,20 @@ mod tests {
             "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\
              \"stages\":[{\"name\":\"s\",\"count\":1,\"total_us\":1}],\
              \"counters\":{},\"metrics\":{}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\
+             \"stages\":[{\"name\":\"s\",\"count\":-1,\"total_us\":1,\"self_us\":1}],\
+             \"counters\":{},\"metrics\":{}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\"stages\":[],\
+             \"latencies\":[{\"name\":\"r\",\"count\":1,\"p50_us\":1,\"p99_us\":1,\
+             \"rps\":-2.5}],\"counters\":{},\"metrics\":{}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\"stages\":[],\
+             \"counters\":{\"c\":\"7\"},\"metrics\":{}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\"stages\":[],\
+             \"counters\":{},\"metrics\":{\"m\":\"1.5\"}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\"stages\":[],\
+             \"counters\":[],\"metrics\":{}}",
+            "{\"label\":\"x\",\"wall_us\":1,\"work_us\":1,\"stages\":[],\
+             \"counters\":{},\"metrics\":{}} trailing",
         ] {
             assert!(PerfReport::from_json(bad).is_err(), "accepted: {bad}");
         }

@@ -30,11 +30,12 @@ cargo fmt "${FIRST_PARTY[@]}" -- --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (goldens verify-only)"
+echo "==> cargo test -q --no-fail-fast (goldens verify-only)"
 # Drop UPDATE_GOLDEN if the caller's environment carries it: the gate
 # must *verify* fixtures, never silently rewrite them. Regeneration is a
-# deliberate, reviewed step (see header).
-env -u UPDATE_GOLDEN cargo test -q
+# deliberate, reviewed step (see header). --no-fail-fast runs every test
+# binary even after one fails, so one failure cannot hide another.
+env -u UPDATE_GOLDEN cargo test -q --no-fail-fast
 
 echo "==> benchmark harness and perfbench tests"
 # perfbench/harness is a package of its own that calls the crates' public
