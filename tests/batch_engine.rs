@@ -300,9 +300,7 @@ fn replica_parameterized_pipeline_is_jobs_invariant() {
         .expect("estimates")
         .to_json()
         .expect("serializes");
-    let pipeline = Pipeline::new(builtin::nmos25())
-        .with_replicas(4)
-        .with_parallel_threshold(0);
+    let pipeline = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
     for jobs in [1, 2, 8] {
         let db = pipeline
             .run_all_parallel(modules.iter(), jobs)

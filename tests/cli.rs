@@ -294,6 +294,82 @@ fn report_renders_markdown_with_floorplan() {
 }
 
 #[test]
+fn a_module_name_repeated_across_files_keeps_one_record_per_module() {
+    // Both files define `dup` (4 inverters in a.mnl, 2 in b.mnl). The
+    // batch holds one record per input module, like the stream, and the
+    // report pairs each module with its own record.
+    let dir = std::env::temp_dir().join("maestro-cli-dup-name-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let inverters = |name: &str, n: usize| {
+        let mut src = format!("module {name};\ninput a;\noutput y;\n");
+        for i in 0..n {
+            let from = if i == 0 {
+                "a".to_owned()
+            } else {
+                format!("t{i}")
+            };
+            let to = if i + 1 == n {
+                "y".to_owned()
+            } else {
+                format!("t{}", i + 1)
+            };
+            src.push_str(&format!("device u{i} INV (A={from}, Y={to});\n"));
+        }
+        src + "endmodule\n"
+    };
+    let a = dir.join("a.mnl");
+    let b = dir.join("b.mnl");
+    std::fs::write(&a, inverters("dup", 4) + &inverters("mid", 1)).expect("write a");
+    std::fs::write(&b, inverters("dup", 2) + &inverters("tail", 3)).expect("write b");
+    let (a, b) = (a.to_string_lossy(), b.to_string_lossy());
+    let run = |args: &[&str]| {
+        let out = cli().args(args).output().expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let estimate = run(&["estimate", &a, &b]);
+    assert_eq!(estimate, run(&["estimate", &a, &b, "--stream"]));
+    let areas: Vec<&str> = estimate
+        .lines()
+        .filter_map(|l| l.strip_prefix("  standard-cell: "))
+        .map(|l| l.split(' ').next().expect("area"))
+        .collect();
+    assert_eq!(areas.len(), 4, "{estimate}");
+
+    // Each `## module` section: (name, devices line, standard-cell area).
+    let report = run(&["report", &a, &b]);
+    let sections: Vec<(&str, &str, &str)> = report
+        .split("## module `")
+        .skip(1)
+        .map(|s| {
+            let name = s.split('`').next().expect("name");
+            let devices = s
+                .lines()
+                .find_map(|l| l.strip_prefix("- devices: "))
+                .expect("devices line");
+            let area = s
+                .lines()
+                .find_map(|l| l.strip_prefix("- standard-cell estimate: "))
+                .and_then(|l| l.split(' ').next())
+                .expect("standard-cell estimate");
+            (name, devices.split(',').next().expect("count"), area)
+        })
+        .collect();
+    let expected: Vec<(&str, &str, &str)> = ["dup", "mid", "dup", "tail"]
+        .into_iter()
+        .zip(["4", "1", "2", "3"])
+        .zip(areas)
+        .map(|((name, devices), area)| (name, devices, area))
+        .collect();
+    assert_eq!(sections, expected, "{report}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn depth_reports_critical_path() {
     let out = cli()
         .args(["depth", &asset("full_adder.mnl")])
@@ -600,4 +676,17 @@ fn bad_flag_fails_cleanly() {
         .expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+#[test]
+fn aspect_below_one_fails_cleanly() {
+    for cmd in ["report", "floorplan"] {
+        let out = cli()
+            .args([cmd, &asset("counter4.mnl"), "--aspect", "0.5"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{cmd} exits with an error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--aspect must be a finite ratio ≥ 1"), "{err}");
+    }
 }
